@@ -13,6 +13,7 @@ Conventions, fixed once here:
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -44,12 +45,17 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Percent log-returns, the universal input of the forecasting pipeline."""
+    """Percent log-returns, the universal input of the forecasting pipeline.
+
+    Immutable: ``values`` is a read-only copy of the input, so the cached
+    :attr:`variance_path` can never go stale.
+    """
 
     values: np.ndarray = field()
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size == 0:
             raise DataError("return series must be a nonempty 1-d sequence")
@@ -58,6 +64,11 @@ class ReturnSeries:
 
     def __len__(self) -> int:
         return self.values.size
+
+    @functools.cached_property
+    def variance_path(self) -> np.ndarray:
+        """:func:`variance_path` of ``values``, computed once per series."""
+        return variance_path(self.values)
 
 
 def load_price_csv(path, column: str = "close") -> PriceSeries:

@@ -48,7 +48,7 @@ from .errors import (
     DegenerateWindowError,
     TrimBoundError,
 )
-from .returns import ReturnSeries, sample_kurtosis, variance_path
+from .returns import ReturnSeries, sample_kurtosis
 from .weights import (
     A0_MAX,
     CalibrationGrid,
@@ -91,7 +91,7 @@ def forward_transform(y: ReturnSeries, w: NovasWeights) -> np.ndarray:
     if n <= k + 2:
         raise DataError(f"series length {n} must exceed order + 2 = {k + 2}")
     y2 = values * values
-    s2 = variance_path(values)
+    s2 = y.variance_path
     denom = w.y2_self_coef * y2[k:] + w.alpha * s2[k:n]
     for i in range(1, k + 1):
         denom = denom + w.lags[i - 1] * y2[k - i : n - i]
@@ -162,11 +162,11 @@ def _column_scores(
 class _WindowArrays:
     """Per-window precomputation shared by every grid candidate."""
 
-    def __init__(self, values: np.ndarray):
-        self.values = values
+    def __init__(self, y: ReturnSeries):
+        self.values = values = y.values
         self.n = values.size
         self.y2 = values * values
-        self.s2 = variance_path(values)
+        self.s2 = y.variance_path
         self._lagmat: dict[int, np.ndarray] = {}
 
     def lag_matrix(self, order: int) -> np.ndarray:
@@ -291,7 +291,7 @@ def calibrate_many(
         raise CalibrationError(
             f"window of {len(y)} below the calibration minimum {grid.min_window}"
         )
-    arrays = _WindowArrays(y.values)
+    arrays = _WindowArrays(y)
     n = arrays.n
     out: dict[float, CalibratedTransform] = {}
 

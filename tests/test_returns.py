@@ -185,3 +185,17 @@ class TestSeriesTypes:
     def test_returns_reject_nan(self):
         with pytest.raises(DataError):
             ReturnSeries(np.array([1.0, np.nan]))
+
+    def test_returns_are_an_immutable_copy(self):
+        source = np.array([0.5, -1.0, 2.0])
+        y = ReturnSeries(source)
+        with pytest.raises(ValueError):
+            y.values[0] = 9.0
+        assert source.flags.writeable
+        source[0] = 9.0
+        assert y.values.tolist() == [0.5, -1.0, 2.0]
+
+    def test_variance_path_is_cached(self):
+        y = ReturnSeries(np.random.default_rng(2).normal(size=40))
+        assert y.variance_path is y.variance_path
+        np.testing.assert_array_equal(y.variance_path, variance_path(y.values))

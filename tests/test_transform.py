@@ -315,3 +315,33 @@ class TestFeasibleAlphas:
             else:
                 with pytest.raises(CalibrationError):
                     calibrate(NovasVariant.GA, alpha, model3_window, grid)
+
+
+class TestSharedVariancePath:
+    """One window's variance path is computed once and read by every variant,
+    every alpha and the returned transform."""
+
+    def test_one_variance_path_per_window(self, model1_series, monkeypatch):
+        import novas.returns
+        import novas.transform
+
+        calls = []
+        original = novas.returns.variance_path
+
+        def counting(values):
+            calls.append(len(values))
+            return original(values)
+
+        monkeypatch.setattr(novas.returns, "variance_path", counting)
+        # the name is patched wherever a module holds its own reference
+        monkeypatch.setattr(novas.transform, "variance_path", counting, raising=False)
+        grid = CalibrationGrid(ga_step=0.05)
+        alphas = tuple(k / 10 for k in range(1, 9))
+        window = ReturnSeries(model1_series.values[:250])
+        fitted = []
+        for variant in NovasVariant:
+            usable = feasible_alphas(variant, alphas, len(window), grid)
+            fitted += calibrate_many(variant, usable, window, grid).values()
+        forward_transform(window, fitted[-1].weights)
+        assert len(fitted) > 20
+        assert calls == [250]
