@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DataError, TrimBoundError
 from .innovations import InnovationSource, Seed, SourceKind, substream
+from .returns import welford_update
 from .transform import CalibratedTransform
 
 MIN_PATHS = 100
@@ -99,9 +100,11 @@ def simulate_paths(
     """Push an ``(M, h)`` innovation matrix through the inverse transform.
 
     Each step's pseudo-return re-enters the lag window with the sign of its
-    innovation, and the variance estimate is updated by the standard one-pass
-    (count, mean, squared-deviation) recursion unless frozen at its
-    end-of-history value. Pure: identical inputs give identical paths.
+    innovation, and the variance estimate is updated by the same one-pass
+    (count, mean, M2) recursion that builds the in-sample variance path
+    (:func:`~novas.returns.welford_update`) unless frozen at its
+    end-of-history value ``ct.s2_n``. Pure: identical inputs give identical
+    paths.
     """
     innovations = np.atleast_2d(np.asarray(innovations, dtype=float))
     m, h = innovations.shape
@@ -113,7 +116,7 @@ def simulate_paths(
     lag2 = np.tile(history[-w.order :][::-1] ** 2, (m, 1))
     count = n
     mean = np.full(m, history.mean())
-    m2 = np.full(m, float(np.var(history)) * n)
+    m2 = np.full(m, ct.s2_n * n)
     s2 = np.full(m, ct.s2_n)
 
     paths = np.empty((m, h))
@@ -135,9 +138,7 @@ def simulate_paths(
         lag2[:, 0] = y2_next
         if not freeze_variance:
             count += 1
-            delta = y_next - mean
-            mean = mean + delta / count
-            m2 = m2 + delta * (y_next - mean)
+            mean, m2 = welford_update(count, mean, m2, y_next)
             s2 = m2 / count
     return paths
 

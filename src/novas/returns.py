@@ -7,6 +7,10 @@ Conventions, fixed once here:
 * ``running_variance(y, upto=t)`` is the variance estimate available *at*
   time ``t``: the first ``t - 1`` observations, centered on their own mean,
   divided by ``t - 1`` (window-length divisor, not ``n - 1``).
+* Every variance estimate, in-sample or along a simulated path, comes from
+  one (count, mean, M2) recursion, :func:`welford_update`. A series' whole
+  path of estimates is computed once and cached on its
+  :class:`ReturnSeries` (:attr:`ReturnSeries.variance_path`).
 * Kurtosis is the plain moment ratio ``m4 / m2**2``, no bias correction.
 """
 
@@ -146,53 +150,48 @@ def running_variance(y: ReturnSeries, upto: int) -> float:
     """Variance estimate available at time ``upto``.
 
     Mean-centered second moment of the first ``upto - 1`` observations with
-    divisor ``upto - 1``. A single observation gives 0 by convention.
+    divisor ``upto - 1``. A single observation gives 0 by convention. Read
+    from the series' cached :func:`variance_path`.
     """
     if upto < 2:
         raise DataError(f"running variance undefined for upto={upto} (< 2)")
-    window = np.asarray(y.values, dtype=float)[: upto - 1]
-    if window.size < upto - 1:
+    if upto - 1 > len(y):
         raise DataError(
             f"upto={upto} needs {upto - 1} observations, series has {len(y)}"
         )
-    return float(np.var(window))
+    return float(y.variance_path[upto - 1])
+
+
+def welford_update(count, mean, m2, x):
+    """Fold ``x`` into a running (count, mean, M2) state (Welford 1962).
+
+    ``count`` already includes ``x``; returns the new ``(mean, m2)``, and
+    the variance (divisor ``count``) is ``m2 / count``. Elementwise on
+    arrays, so one call also advances a whole ensemble of paths.
+    """
+    delta = x - mean
+    mean = mean + delta / count
+    return mean, m2 + delta * (x - mean)
 
 
 def variance_path(values: np.ndarray) -> np.ndarray:
     """``out[t] = var(values[:t])`` (divisor ``t``) for ``t = 0..n``.
 
     ``out[t]`` is the paper-convention ``s^2`` available at time ``t + 1``;
-    ``out[0]`` and ``out[1]`` are 0. Computed two-pass per prefix for the
-    same numerical behavior as :func:`running_variance`.
+    ``out[0]`` and ``out[1]`` are 0. One O(n) pass of :func:`welford_update`
+    over the values taken relative to the first one (the variance does not
+    depend on the shift, and the recursion stays accurate far from zero);
+    ``out[t]`` depends only on ``values[:t]``. :class:`ReturnSeries` caches
+    the path, so each series computes it once.
     """
     values = np.asarray(values, dtype=float)
-    n = values.size
-    out = np.zeros(n + 1)
-    for t in range(2, n + 1):
-        out[t] = np.var(values[:t])
-    return out
-
-
-@dataclass(frozen=True)
-class RunningStats:
-    """The recursive variance estimates of a return series.
-
-    ``s2[t]`` is computed from exactly the first ``t`` observations;
-    ``mean_basis`` is the full-sample mean the final estimate centers on.
-    """
-
-    s2: np.ndarray
-    mean_basis: float
-
-    def __post_init__(self):
-        s2 = np.asarray(self.s2, dtype=float)
-        object.__setattr__(self, "s2", s2)
-        if np.any(s2 < 0.0):
-            raise DataError("variance estimates cannot be negative")
-
-
-def running_stats(y: ReturnSeries) -> RunningStats:
-    return RunningStats(variance_path(y.values), float(y.values.mean()))
+    out = [0.0]
+    mean = m2 = 0.0
+    if values.size:
+        for count, x in enumerate((values - values[0]).tolist(), start=1):
+            mean, m2 = welford_update(count, mean, m2, x)
+            out.append(m2 / count)
+    return np.array(out)
 
 
 def sample_kurtosis(w) -> float:

@@ -402,7 +402,7 @@ def _finish(
     weights = build_weights(variant, alpha, chosen["shape"], chosen["order"])
     residuals = forward_transform(y, weights)
     objective = abs(sample_kurtosis(residuals) - 3.0)
-    s2_n = float(np.var(y.values))
+    s2_n = float(y.variance_path[-1])
     return CalibratedTransform(variant, weights, residuals, y, s2_n, objective)
 
 

@@ -133,6 +133,22 @@ class TestRunningVariance:
         shifted = ReturnSeries(np.array(values) + shift)
         assert running_variance(shifted, upto) == pytest.approx(base, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("shift", [0.0, 1e3, -1e3])
+    def test_variance_path_matches_per_prefix_var(self, scale, shift):
+        # oracle: numpy's two-pass variance of every prefix
+        rng = np.random.default_rng(17)
+        for base in (rng.normal(size=250), rng.standard_t(3, size=250)):
+            values = scale * base + shift
+            path = variance_path(values)
+            want = np.array([np.var(values[:t]) for t in range(2, 251)])
+            assert path[:2].tolist() == [0.0, 0.0]
+            np.testing.assert_allclose(path[2:], want, rtol=1e-14, atol=0.0)
+
+    def test_variance_path_constant_series_is_exactly_zero(self):
+        for c in (0.0, 2.5, -1e3, 0.1):
+            assert not np.any(variance_path(np.full(50, c)))
+
     def test_variance_path_matches_pointwise(self):
         rng = np.random.default_rng(5)
         values = rng.normal(size=25)
