@@ -157,6 +157,13 @@ def _aggregates(paths: np.ndarray, horizons) -> dict[int, np.ndarray]:
     return {h: csum[:, h - 1] / h for h in horizons}
 
 
+def _point_forecasts(aggs: dict[int, np.ndarray], risk: str) -> dict[int, float]:
+    """Risk-optimal point forecast per horizon: the ensemble mean under L2,
+    the ensemble median under L1."""
+    reduce = np.mean if risk == "L2" else np.median
+    return {h: float(reduce(a)) for h, a in aggs.items()}
+
+
 def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
     values = y.values
     n = values.size
@@ -226,11 +233,7 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
                     aggs = _aggregates(paths, h_here)
                     for risk in cfg.risks:
                         key = MethodKey(variant.value, alpha, risk, kind)
-                        reduced = {
-                            h: float(np.mean(a) if risk == "L2" else np.median(a))
-                            for h, a in aggs.items()
-                        }
-                        preds[key] = reduced
+                        preds[key] = _point_forecasts(aggs, risk)
 
         try:
             fit = fit_garch11_mle(window_returns)
@@ -251,10 +254,7 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
                 aggs = _aggregates(sig_star * wmat, h_here)
                 for risk in cfg.risks:
                     key = MethodKey("GARCH_BOOT", None, risk, None)
-                    preds[key] = {
-                        h: float(np.mean(a) if risk == "L2" else np.median(a))
-                        for h, a in aggs.items()
-                    }
+                    preds[key] = _point_forecasts(aggs, risk)
         return w0, preds, dead_families
 
     workers = cfg.threads or (os.cpu_count() or 1)

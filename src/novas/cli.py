@@ -100,7 +100,9 @@ def _load_returns(args) -> ReturnSeries:
 
 
 def _grid_from_args(args) -> CalibrationGrid:
-    if getattr(args, "grid_config", None):
+    if getattr(args, "grid", None) is not None:  # inline from a replayed sidecar
+        grid = CalibrationGrid.from_dict(args.grid)
+    elif getattr(args, "grid_config", None):
         with open(args.grid_config) as fh:
             grid = CalibrationGrid.from_dict(json.load(fh))
     else:
@@ -465,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _argv_from_sidecar(path: str) -> list[str]:
+def _argv_from_sidecar(path: str) -> tuple[list[str], dict | None]:
+    """The command line a sidecar records, and its resolved calibration grid
+    (``None`` for commands without one), which is handed over inline."""
     with open(path) as fh:
         sidecar = json.load(fh)
     command = sidecar["command"]
@@ -485,19 +489,16 @@ def _argv_from_sidecar(path: str) -> list[str]:
             argv += [flag, ",".join(str(v) for v in value)]
         else:
             argv += [flag, str(value)]
-    if "grid" in options:
-        grid_path = path + ".grid.json"
-        with open(grid_path, "w") as fh:
-            json.dump(options["grid"], fh)
-        argv += ["--grid-config", grid_path]
-    return argv
+    return argv, options.get("grid")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.from_sidecar:
-        return main(_argv_from_sidecar(args.from_sidecar))
+        replay, grid = _argv_from_sidecar(args.from_sidecar)
+        args = parser.parse_args(replay)
+        args.grid = grid
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 2

@@ -142,6 +142,7 @@ class TestBacktest:
         assert run_cli(["--from-sidecar", str(out) + ".sidecar.json"]) == 0
         assert out.read_bytes() == first
         assert (tmp_path / "report.csv").read_bytes() == first_csv
+        assert list(tmp_path.glob("*.grid.json")) == []
 
 
 class TestErrors:
