@@ -31,7 +31,9 @@ convolution is one matrix product shared by every candidate, and the
 exponential/geometric profiles scale linearly in ``1 - alpha``, so one scan
 serves a whole alpha grid. The winning point is then re-evaluated through
 the plain :func:`forward_transform` path, which is what the returned
-transform reports.
+transform reports. The variance path ``s2`` is not recomputed by either:
+both read the one cached on the window's :class:`ReturnSeries`, so every
+variant, every alpha and every returned transform of a window share it.
 """
 
 from __future__ import annotations

@@ -99,6 +99,8 @@ class TestRunningVariance:
     def test_constant_series(self):
         y = ReturnSeries(np.full(6, 2.5))
         assert running_variance(y, 6) == 0.0
+        for c in (0.0, 0.1, 2.5, -1e3):
+            assert not np.any(variance_path(np.full(50, c)))
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(11)
@@ -144,10 +146,6 @@ class TestRunningVariance:
             want = np.array([np.var(values[:t]) for t in range(2, 251)])
             assert path[:2].tolist() == [0.0, 0.0]
             np.testing.assert_allclose(path[2:], want, rtol=1e-14, atol=0.0)
-
-    def test_variance_path_constant_series_is_exactly_zero(self):
-        for c in (0.0, 2.5, -1e3, 0.1):
-            assert not np.any(variance_path(np.full(50, c)))
 
     def test_variance_path_matches_pointwise(self):
         rng = np.random.default_rng(5)
@@ -210,8 +208,3 @@ class TestSeriesTypes:
         assert source.flags.writeable
         source[0] = 9.0
         assert y.values.tolist() == [0.5, -1.0, 2.0]
-
-    def test_variance_path_is_cached(self):
-        y = ReturnSeries(np.random.default_rng(2).normal(size=40))
-        assert y.variance_path is y.variance_path
-        np.testing.assert_array_equal(y.variance_path, variance_path(y.values))
