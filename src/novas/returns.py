@@ -187,10 +187,9 @@ def variance_path(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     out = [0.0]
     mean = m2 = 0.0
-    if values.size:
-        for count, x in enumerate((values - values[0]).tolist(), start=1):
-            mean, m2 = welford_update(count, mean, m2, x)
-            out.append(m2 / count)
+    for count, x in enumerate((values - values[:1]).tolist(), start=1):
+        mean, m2 = welford_update(count, mean, m2, x)
+        out.append(m2 / count)
     return np.array(out)
 
 
