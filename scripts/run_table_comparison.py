@@ -35,7 +35,9 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=500, choices=(250, 500))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--paths", type=int, default=5000)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker processes; default: usable CPUs; "
+                             "results do not depend on it")
     parser.add_argument("--fast", action="store_true",
                         help="coarse GA grid and M=1000")
     args = parser.parse_args(argv)

@@ -7,13 +7,23 @@ the GARCH bootstrap and direct baselines, and scores each method against the
 realized aggregates. All methods see identical windows and identical truth
 sequences; every random stream is derived from (seed, window, method), so
 reports do not depend on the parallel schedule.
+
+Windows are independent, so they run in a pool of forked worker processes
+(``BacktestConfig.threads`` of them, by default one per usable CPU). Fork
+hands each worker the imported numpy/scipy and the window inputs without a
+fresh import; because each window draws only from its own substreams, the
+predictions are byte-identical at every worker count. Fork copies only the
+calling thread, so a caller that runs threads of its own which may hold
+locks (a logging handler, a server loop) should pass ``threads=1``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -54,6 +64,11 @@ class MethodKey:
         return "|".join(parts)
 
 
+_BENCHMARK = MethodKey("GARCH_DIRECT")
+_VARIANT_INDEX = {v: i for i, v in enumerate(NovasVariant)}
+_KIND_INDEX = {k: i for i, k in enumerate(KINDS)}
+
+
 @dataclass(frozen=True)
 class BacktestConfig:
     window: int
@@ -67,6 +82,8 @@ class BacktestConfig:
     grid: CalibrationGrid = field(default_factory=CalibrationGrid)
     metric: str = "squared"
     include_garch_bootstrap: bool = True
+    # worker processes (the name is kept for existing callers and sidecars);
+    # None means one per usable CPU. Results do not depend on it.
     threads: int | None = None
     freeze_variance: bool = False
     common_window: bool = True
@@ -86,6 +103,10 @@ class BacktestConfig:
             raise DataError(
                 f"ensemble of {self.paths} paths is below the meaningful minimum 100"
             )
+        if self.threads is None:
+            object.__setattr__(self, "threads", len(os.sched_getaffinity(0)))
+        elif self.threads < 1:
+            raise DataError(f"threads must be at least 1, got {self.threads}")
         object.__setattr__(self, "horizons", tuple(sorted(set(self.horizons))))
         object.__setattr__(self, "seed", Seed.of(self.seed))
         object.__setattr__(
@@ -164,6 +185,72 @@ def _point_forecasts(aggs: dict[int, np.ndarray], risk: str) -> dict[int, float]
     return {h: float(reduce(a)) for h, a in aggs.items()}
 
 
+def _run_window(
+    values: np.ndarray,
+    cfg: BacktestConfig,
+    usable: dict[NovasVariant, tuple[float, ...]],
+    counts: dict[int, int],
+    w0: int,
+) -> tuple[dict[MethodKey, dict[int, float]], list[str]]:
+    """Point forecasts of every method on the window starting at ``w0``, and
+    the families that could not be fitted there. Module-level so that the
+    process pool can pickle it."""
+    window_returns = ReturnSeries(values[w0 : w0 + cfg.window])
+    h_here = [h for h in cfg.horizons if w0 < counts[h]]
+    h_top = max(h_here)
+    preds: dict[MethodKey, dict[int, float]] = {}
+    dead_families: list[str] = []
+
+    for variant in cfg.variants:
+        if not usable[variant]:
+            continue
+        try:
+            transforms = calibrate_many(
+                variant, usable[variant], window_returns, cfg.grid
+            )
+        except (CalibrationError, DataError):
+            # degenerate window for this variant: skip it here, count it,
+            # and let the common-window mask keep scores comparable
+            dead_families.append(variant.value)
+            continue
+        vi = _VARIANT_INDEX[variant]
+        for ai, alpha in enumerate(cfg.alpha_grid):
+            if alpha not in transforms:
+                continue
+            ct = transforms[alpha]
+            for kind in cfg.kinds:
+                source = innovation_source(ct, _KIND_TO_SOURCE[kind])
+                gen = substream(cfg.seed, _DOMAIN_NOVAS, w0, vi, ai, _KIND_INDEX[kind])
+                draws = source.draw(gen, (cfg.paths, h_top))
+                paths = simulate_paths(ct, draws, freeze_variance=cfg.freeze_variance)
+                aggs = _aggregates(paths, h_here)
+                for risk in cfg.risks:
+                    key = MethodKey(variant.value, alpha, risk, kind)
+                    preds[key] = _point_forecasts(aggs, risk)
+
+    try:
+        fit = fit_garch11_mle(window_returns)
+    except (FitError, DataError):
+        dead_families.extend(["GARCH_BOOT", "GARCH_DIRECT"])
+    else:
+        variances = garch_direct_forecast(
+            fit, float(window_returns.values[-1] ** 2), h_top
+        )
+        vcum = np.cumsum(variances)
+        preds[_BENCHMARK] = {h: float(vcum[h - 1] / h) for h in h_here}
+        if cfg.include_garch_bootstrap:
+            gen = substream(cfg.seed, _DOMAIN_GARCH_BOOT, w0)
+            sig_star = gen.choice(
+                np.sqrt(fit.sigma2_path), size=(cfg.paths, h_top), replace=True
+            )
+            wmat = gen.standard_normal((cfg.paths, h_top))
+            aggs = _aggregates(sig_star * wmat, h_here)
+            for risk in cfg.risks:
+                key = MethodKey("GARCH_BOOT", None, risk, None)
+                preds[key] = _point_forecasts(aggs, risk)
+    return preds, dead_families
+
+
 def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
     values = y.values
     n = values.size
@@ -191,85 +278,25 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
     methods = _novas_methods(cfg, usable)
     if cfg.include_garch_bootstrap:
         methods += [MethodKey("GARCH_BOOT", None, risk, None) for risk in cfg.risks]
-    benchmark_key = MethodKey("GARCH_DIRECT")
-    methods.append(benchmark_key)
+    methods.append(_BENCHMARK)
 
-    variant_index = {v: i for i, v in enumerate(NovasVariant)}
-    kind_index = {k: i for i, k in enumerate(KINDS)}
-
-    def job(w0: int):
-        window_returns = ReturnSeries(values[w0 : w0 + cfg.window])
-        h_here = [h for h in horizons if w0 < counts[h]]
-        h_top = max(h_here)
-        preds: dict[MethodKey, dict[int, float]] = {}
-        dead_families: list[str] = []
-
-        for variant in cfg.variants:
-            if not usable[variant]:
-                continue
-            try:
-                transforms = calibrate_many(
-                    variant, usable[variant], window_returns, cfg.grid
-                )
-            except (CalibrationError, DataError):
-                # degenerate window for this variant: skip it here, count it,
-                # and let the common-window mask keep scores comparable
-                dead_families.append(variant.value)
-                continue
-            vi = variant_index[variant]
-            for ai, alpha in enumerate(cfg.alpha_grid):
-                if alpha not in transforms:
-                    continue
-                ct = transforms[alpha]
-                for kind in cfg.kinds:
-                    source = innovation_source(ct, _KIND_TO_SOURCE[kind])
-                    gen = substream(
-                        cfg.seed, _DOMAIN_NOVAS, w0, vi, ai, kind_index[kind]
-                    )
-                    draws = source.draw(gen, (cfg.paths, h_top))
-                    paths = simulate_paths(
-                        ct, draws, freeze_variance=cfg.freeze_variance
-                    )
-                    aggs = _aggregates(paths, h_here)
-                    for risk in cfg.risks:
-                        key = MethodKey(variant.value, alpha, risk, kind)
-                        preds[key] = _point_forecasts(aggs, risk)
-
-        try:
-            fit = fit_garch11_mle(window_returns)
-        except (FitError, DataError):
-            dead_families.extend(["GARCH_BOOT", "GARCH_DIRECT"])
-        else:
-            variances = garch_direct_forecast(
-                fit, float(window_returns.values[-1] ** 2), h_top
-            )
-            vcum = np.cumsum(variances)
-            preds[benchmark_key] = {h: float(vcum[h - 1] / h) for h in h_here}
-            if cfg.include_garch_bootstrap:
-                gen = substream(cfg.seed, _DOMAIN_GARCH_BOOT, w0)
-                sig_star = gen.choice(
-                    np.sqrt(fit.sigma2_path), size=(cfg.paths, h_top), replace=True
-                )
-                wmat = gen.standard_normal((cfg.paths, h_top))
-                aggs = _aggregates(sig_star * wmat, h_here)
-                for risk in cfg.risks:
-                    key = MethodKey("GARCH_BOOT", None, risk, None)
-                    preds[key] = _point_forecasts(aggs, risk)
-        return w0, preds, dead_families
-
-    workers = cfg.threads or (os.cpu_count() or 1)
+    run_window = partial(_run_window, values, cfg, usable, counts)
+    workers = min(cfg.threads, n_windows)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, range(n_windows)))
+        # chunksize 1: the early windows carry every horizon and take longest,
+        # so handing them out one at a time keeps the workers evenly loaded
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            results = list(pool.map(run_window, range(n_windows)))
     else:
-        results = [job(w0) for w0 in range(n_windows)]
-    results.sort(key=lambda r: r[0])
+        results = [run_window(w0) for w0 in range(n_windows)]
 
     predictions = {
         m: {h: np.full(counts[h], np.nan) for h in horizons} for m in methods
     }
     window_ok = {h: np.ones(counts[h], dtype=bool) for h in horizons}
-    for w0, preds, dead_families in results:
+    for w0, (preds, dead_families) in enumerate(results):
         if dead_families:
             for h in horizons:
                 if w0 < counts[h]:
@@ -307,7 +334,7 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
             )
             raw[(m, h)] = (score, int(mask.sum()))
 
-    benchmark_scores = {h: raw[(benchmark_key, h)][0] for h in horizons}
+    benchmark_scores = {h: raw[(_BENCHMARK, h)][0] for h in horizons}
     for h, s in benchmark_scores.items():
         if s == 0.0:
             raise DataError(f"benchmark score is zero at h={h}; ratios undefined")

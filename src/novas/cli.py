@@ -452,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=5000, help="ensemble size M")
     p.add_argument("--metric", choices=["squared", "literal"], default="squared")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes; default: usable CPUs; "
+                        "results do not depend on it")
     p.add_argument("--table", action="store_true",
                    help="print the family-best relative table")
     p.add_argument("--output", required=True, help="report JSON path")
@@ -471,9 +473,12 @@ def _argv_from_sidecar(path: str) -> tuple[list[str], dict | None]:
     """The command line a sidecar records, and its resolved calibration grid
     (``None`` for commands without one), which is handed over inline."""
     with open(path) as fh:
-        sidecar = json.load(fh)
-    command = sidecar["command"]
-    options = sidecar["options"]
+        try:
+            sidecar = json.load(fh)
+            command = sidecar["command"]
+            options = sidecar["options"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{path!r} is not a novas sidecar: {exc!r}") from None
     argv = [command]
     skip = {"grid"}
     flags_true = {"table", "scale_t_errors"}
@@ -495,14 +500,14 @@ def _argv_from_sidecar(path: str) -> tuple[list[str], dict | None]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.from_sidecar:
-        replay, grid = _argv_from_sidecar(args.from_sidecar)
-        args = parser.parse_args(replay)
-        args.grid = grid
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 2
     try:
+        if args.from_sidecar:
+            replay, grid = _argv_from_sidecar(args.from_sidecar)
+            args = parser.parse_args(replay)
+            args.grid = grid
+        if not getattr(args, "command", None):
+            parser.print_usage(sys.stderr)
+            return 2
         return args.func(args)
     except NovasError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)

@@ -27,6 +27,11 @@ class InfeasibleWeightsError(NovasError):
         super().__init__(message)
         self.reason = reason
 
+    def __reduce__(self):
+        # rebuild from both constructor arguments, so that the error survives
+        # pickling on its way back from a worker process
+        return type(self), (self.reason, str(self))
+
 
 class CalibrationError(NovasError):
     """No feasible grid point, or the input window is too degenerate to fit."""

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,14 @@ from novas import (
     NovasVariant,
     ReturnSeries,
     Seed,
+    TrimBoundError,
     format_table,
     generate,
     relative_report,
     run_rolling_poos,
     score_performance,
 )
+import novas.backtest
 from novas.simulate import ModelSpec
 from novas.weights import CalibrationGrid
 
@@ -159,10 +163,32 @@ class TestDeterminism:
                 np.testing.assert_array_equal(a.predictions[m][h], b.predictions[m][h])
 
     def test_thread_schedule_independence(self, short_series, small_report):
-        threaded = run_rolling_poos(short_series, small_config(threads=2))
-        assert [s.score for s in threaded.scores] == [
-            s.score for s in small_report.scores
-        ]
+        for workers in (2, 3):
+            pooled = run_rolling_poos(short_series, small_config(threads=workers))
+            assert [s.score for s in pooled.scores] == [
+                s.score for s in small_report.scores
+            ]
+            assert pooled.predictions.keys() == small_report.predictions.keys()
+            for m, by_h in small_report.predictions.items():
+                for h, arr in by_h.items():
+                    assert pooled.predictions[m][h].tobytes() == arr.tobytes(), (
+                        workers, m.label(), h)
+
+    def test_worker_error_reaches_caller(self, short_series, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TrimBoundError("denominator below the guard")
+
+        monkeypatch.setattr(novas.backtest, "simulate_paths", broken)
+        with pytest.raises(TrimBoundError, match="denominator below the guard"):
+            run_rolling_poos(short_series, small_config(threads=2))
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(DataError, match="threads must be at least 1"):
+            small_config(threads=workers)
+
+    def test_default_worker_count_is_usable_cpus(self):
+        assert small_config(threads=None).threads == len(os.sched_getaffinity(0))
 
     def test_seed_changes_predictions(self, short_series, small_report):
         other = run_rolling_poos(short_series, small_config(seed=Seed(8)))

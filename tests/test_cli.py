@@ -144,6 +144,14 @@ class TestBacktest:
         assert (tmp_path / "report.csv").read_bytes() == first_csv
         assert list(tmp_path.glob("*.grid.json")) == []
 
+    def test_zero_workers_single_error_line(self, tmp_path, returns_csv, capsys):
+        args = self.backtest_args(returns_csv, tmp_path / "r.json")
+        args[args.index("--threads") + 1] = "0"
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error:input: threads must be at least 1, got 0"]
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestErrors:
     def test_unknown_flag_exits_nonzero_with_usage(self, capsys):
@@ -171,6 +179,17 @@ class TestErrors:
     def test_no_command_prints_usage(self, capsys):
         assert run_cli([]) == 2
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "not json", '{"options": {}}'],
+                             ids=["missing", "not-json", "no-command"])
+    def test_bad_sidecar_single_error_line(self, tmp_path, capsys, content):
+        sidecar = tmp_path / "nope.sidecar.json"
+        if content is not None:
+            sidecar.write_text(content)
+        assert run_cli(["--from-sidecar", sidecar]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:input:")
 
 
 class TestSimulateReplay:
