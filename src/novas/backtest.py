@@ -8,6 +8,11 @@ realized aggregates. All methods see identical windows and identical truth
 sequences; every random stream is derived from (seed, window, method), so
 reports do not depend on the parallel schedule.
 
+A window has no forecasting code of its own: it runs the draw, simulation,
+running-mean aggregate and risk reduce of ``predict`` and
+``garch_bootstrap_forecast`` under its own substreams, on one ensemble per
+method drawn at its largest horizon, whose running means serve every horizon.
+
 Windows are independent, so they run in a pool of forked worker processes
 (``BacktestConfig.threads`` of them, by default one per usable CPU). Fork
 hands each worker the imported numpy/scipy and the window inputs without a
@@ -26,18 +31,20 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CalibrationError, DataError, FitError
-from .garch import fit_garch11_mle, garch_direct_forecast
+from .garch import fit_garch11_mle, garch_bootstrap_paths, garch_direct_forecast
 from .innovations import Seed, SourceKind, substream
-from .predictor import innovation_source, simulate_paths
+from .predictor import aggregated_squared, innovation_source, risk_point, simulate_paths
 from .returns import ReturnSeries
 from .transform import CalibrationGrid, calibrate_many, feasible_alphas
 from .weights import NovasVariant
 
 FAMILIES = ("GE", "GE_NO_A0", "GA", "GA_NO_A0", "GARCH_BOOT", "GARCH_DIRECT")
-KINDS = ("mc", "boot")
-_KIND_TO_SOURCE = {"mc": SourceKind.TRIMMED_NORMAL, "boot": SourceKind.EMPIRICAL}
+# innovation kinds by their short names in configs, sidecars and method labels
+KIND_TO_SOURCE = {"mc": SourceKind.TRIMMED_NORMAL, "boot": SourceKind.EMPIRICAL}
+KINDS = tuple(KIND_TO_SOURCE)
 
 # substream domains: one per independent consumer of randomness
 _DOMAIN_NOVAS = 1
@@ -85,8 +92,6 @@ class BacktestConfig:
     # worker processes (the name is kept for existing callers and sidecars);
     # None means one per usable CPU. Results do not depend on it.
     threads: int | None = None
-    freeze_variance: bool = False
-    common_window: bool = True
 
     def __post_init__(self):
         if self.window < 1:
@@ -172,19 +177,6 @@ def _novas_methods(cfg: BacktestConfig, usable: dict[NovasVariant, tuple[float, 
     return out
 
 
-def _aggregates(paths: np.ndarray, horizons) -> dict[int, np.ndarray]:
-    """Per-path time-aggregated squared values at each horizon prefix."""
-    csum = np.cumsum(paths * paths, axis=1)
-    return {h: csum[:, h - 1] / h for h in horizons}
-
-
-def _point_forecasts(aggs: dict[int, np.ndarray], risk: str) -> dict[int, float]:
-    """Risk-optimal point forecast per horizon: the ensemble mean under L2,
-    the ensemble median under L1."""
-    reduce = np.mean if risk == "L2" else np.median
-    return {h: float(reduce(a)) for h, a in aggs.items()}
-
-
 def _run_window(
     values: np.ndarray,
     cfg: BacktestConfig,
@@ -219,14 +211,13 @@ def _run_window(
                 continue
             ct = transforms[alpha]
             for kind in cfg.kinds:
-                source = innovation_source(ct, _KIND_TO_SOURCE[kind])
+                source = innovation_source(ct, KIND_TO_SOURCE[kind])
                 gen = substream(cfg.seed, _DOMAIN_NOVAS, w0, vi, ai, _KIND_INDEX[kind])
                 draws = source.draw(gen, (cfg.paths, h_top))
-                paths = simulate_paths(ct, draws, freeze_variance=cfg.freeze_variance)
-                aggs = _aggregates(paths, h_here)
+                aggs = aggregated_squared(simulate_paths(ct, draws))
                 for risk in cfg.risks:
                     key = MethodKey(variant.value, alpha, risk, kind)
-                    preds[key] = _point_forecasts(aggs, risk)
+                    preds[key] = {h: risk_point(aggs[:, h - 1], risk) for h in h_here}
 
     try:
         fit = fit_garch11_mle(window_returns)
@@ -240,14 +231,10 @@ def _run_window(
         preds[_BENCHMARK] = {h: float(vcum[h - 1] / h) for h in h_here}
         if cfg.include_garch_bootstrap:
             gen = substream(cfg.seed, _DOMAIN_GARCH_BOOT, w0)
-            sig_star = gen.choice(
-                np.sqrt(fit.sigma2_path), size=(cfg.paths, h_top), replace=True
-            )
-            wmat = gen.standard_normal((cfg.paths, h_top))
-            aggs = _aggregates(sig_star * wmat, h_here)
+            aggs = aggregated_squared(garch_bootstrap_paths(fit, gen, cfg.paths, h_top))
             for risk in cfg.risks:
                 key = MethodKey("GARCH_BOOT", None, risk, None)
-                preds[key] = _point_forecasts(aggs, risk)
+                preds[key] = {h: risk_point(aggs[:, h - 1], risk) for h in h_here}
     return preds, dead_families
 
 
@@ -305,30 +292,23 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
             for h, value in by_h.items():
                 predictions[key][h][w0] = value
 
-    truths = {}
-    for h in horizons:
-        t = np.empty(counts[h])
-        sq = values * values
-        for w0 in range(counts[h]):
-            t[w0] = sq[w0 + cfg.window : w0 + cfg.window + h].mean()
-        truths[h] = t
+    sq = values * values
+    truths = {
+        h: sliding_window_view(sq[cfg.window :], h).mean(axis=1) for h in horizons
+    }
 
     scores: list[MethodScore] = []
     raw: dict[tuple[MethodKey, int], tuple[float, int]] = {}
     for h in horizons:
-        if cfg.common_window:
-            mask = window_ok[h].copy()
-            for m in methods:
-                mask &= np.isfinite(predictions[m][h])
-            masks = {m: mask for m in methods}
-        else:
-            masks = {m: np.isfinite(predictions[m][h]) for m in methods}
+        # every method is scored on the same windows
+        mask = window_ok[h].copy()
         for m in methods:
-            mask = masks[m]
-            if not mask.any():
-                raise CalibrationError(
-                    f"method {m.label()} produced no usable window at h={h}"
-                )
+            mask &= np.isfinite(predictions[m][h])
+        if not mask.any():
+            raise CalibrationError(
+                f"no window has a usable prediction from every method at h={h}"
+            )
+        for m in methods:
             score = score_performance(
                 predictions[m][h][mask], truths[h][mask], cfg.metric
             )

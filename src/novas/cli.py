@@ -22,6 +22,8 @@ import numpy as np
 
 from . import __version__
 from .backtest import (
+    KIND_TO_SOURCE,
+    KINDS,
     BacktestConfig,
     BacktestReport,
     format_table,
@@ -29,7 +31,7 @@ from .backtest import (
     run_rolling_poos,
 )
 from .errors import DataError, NovasError
-from .innovations import Seed, SourceKind
+from .innovations import Seed
 from .predictor import ForecastRequest, Risk, Statistic, forecast_json, innovation_source, predict
 from .returns import (
     ReturnSeries,
@@ -41,8 +43,6 @@ from .returns import (
 from .simulate import MODELS, ModelSpec, generate
 from .transform import calibrate
 from .weights import CalibrationGrid, NovasVariant
-
-_KINDS = {"mc": SourceKind.TRIMMED_NORMAL, "boot": SourceKind.EMPIRICAL}
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -207,7 +207,7 @@ def _cmd_forecast(args) -> int:
     )
     req = ForecastRequest(
         horizon=args.horizon,
-        source=innovation_source(ct, _KINDS[args.innovations]),
+        source=innovation_source(ct, KIND_TO_SOURCE[args.innovations]),
         paths=args.paths,
         risk=Risk(args.risk),
         statistic=statistic,
@@ -323,7 +323,7 @@ def _cmd_backtest(args) -> int:
         alpha_grid=tuple(options["alpha_grid"]),
         variants=tuple(NovasVariant(v) for v in options["variants"]),
         risks=("L1", "L2") if args.risk == "both" else (args.risk,),
-        kinds=("mc", "boot") if args.innovations == "both" else (args.innovations,),
+        kinds=KINDS if args.innovations == "both" else (args.innovations,),
         paths=options["paths"],
         seed=Seed(options["seed"]),
         grid=CalibrationGrid.from_dict(options["grid"]),
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--paths", type=int, default=5000, help="ensemble size M")
     p.add_argument("--risk", choices=["L1", "L2"], default="L2")
-    p.add_argument("--innovations", choices=["mc", "boot"], default="mc")
+    p.add_argument("--innovations", choices=KINDS, default="mc")
     p.add_argument("--statistic", choices=["aggregated", "step"], default="aggregated")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", required=True)
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default=None,
                    help="comma list of transform variants (default: all four)")
     p.add_argument("--risk", choices=["L1", "L2", "both"], default="both")
-    p.add_argument("--innovations", choices=["mc", "boot", "both"], default="both")
+    p.add_argument("--innovations", choices=[*KINDS, "both"], default="both")
     p.add_argument("--paths", type=int, default=5000, help="ensemble size M")
     p.add_argument("--metric", choices=["squared", "literal"], default="squared")
     p.add_argument("--seed", type=int, default=None)

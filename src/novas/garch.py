@@ -21,7 +21,7 @@ from scipy.special import expit, logit
 
 from .errors import DataError, FitError
 from .innovations import Seed, substream
-from .predictor import ForecastResult, Risk, Statistic, _STATISTICS
+from .predictor import ForecastResult, Risk, Statistic
 from .returns import ReturnSeries
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -180,6 +180,16 @@ def garch_direct_forecast(fit: GarchFit, last_y2: float, h: int) -> np.ndarray:
     return out
 
 
+def garch_bootstrap_paths(
+    fit: GarchFit, gen: np.random.Generator, M: int, h: int
+) -> np.ndarray:
+    """``(M, h)`` bootstrap paths from a fitted model: fitted volatilities
+    resampled i.i.d. (drawn first), each times a fresh standard-normal
+    innovation (drawn second)."""
+    sig_star = gen.choice(np.sqrt(fit.sigma2_path), size=(M, h), replace=True)
+    return sig_star * gen.standard_normal((M, h))
+
+
 def garch_bootstrap_forecast(
     fit: GarchFit,
     h: int,
@@ -188,29 +198,15 @@ def garch_bootstrap_forecast(
     seed,
     statistic: Statistic = Statistic.AGGREGATED_SQUARED,
 ) -> ForecastResult:
-    """Model-free-style forecast from a fitted model: resample fitted
-    volatilities i.i.d., pair each with a fresh standard-normal innovation,
-    and reduce the per-path statistic exactly as the transform predictor does.
+    """Model-free-style forecast from a fitted model: the per-path statistic
+    of :func:`garch_bootstrap_paths`, reduced exactly as the transform
+    predictor reduces its ensemble.
     """
     if h < 1 or M < 1:
         raise DataError("horizon and path count must be positive")
     seed = Seed.of(seed)
-    gen = substream(seed)
-    sigma_pool = np.sqrt(fit.sigma2_path)
-    sig_star = gen.choice(sigma_pool, size=(M, h), replace=True)
-    wmat = gen.standard_normal((M, h))
-    paths = sig_star * wmat
-    stats = _STATISTICS[Statistic(statistic)](paths)
-    ensemble_mean = float(stats.mean())
-    ensemble_median = float(np.median(stats))
-    point = ensemble_mean if Risk(risk) is Risk.L2 else ensemble_median
-    return ForecastResult(
-        point=point,
-        ensemble_mean=ensemble_mean,
-        ensemble_median=ensemble_median,
-        horizon=h,
-        risk=Risk(risk),
-        statistic=Statistic(statistic).value,
-        paths=M,
-        seed=seed,
+    statistic = Statistic(statistic)
+    paths = garch_bootstrap_paths(fit, substream(seed), M, h)
+    return ForecastResult.of_ensemble(
+        statistic.per_path(paths), risk, h, statistic.value, seed
     )

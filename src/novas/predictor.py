@@ -1,10 +1,12 @@
 """Monte-Carlo multi-step prediction through the inverse transform.
 
-``M`` innovation vectors of length ``h`` are pushed through the inverse
-transform, each pseudo-return feeding back into the lag window and (by
-default) into the recursive variance estimate. The optimal predictor of any
-path statistic is then the ensemble mean under L2 risk or the ensemble
-median under L1 risk.
+The library's one ensemble path, taken by :func:`predict` and every backtest
+window: ``M`` innovation vectors of length ``h`` go through the inverse
+transform (:func:`simulate_paths`), each pseudo-return feeding back into the
+lag window and (by default) the recursive variance. A per-path statistic,
+such as the running means of squares from :func:`aggregated_squared`, is
+reduced by :func:`risk_point`, as are the GARCH bootstrap's paths: the
+ensemble mean under L2 risk, the ensemble median under L1.
 """
 
 from __future__ import annotations
@@ -28,23 +30,33 @@ class Risk(str, enum.Enum):
     L2 = "L2"
 
 
+def aggregated_squared(paths: np.ndarray) -> np.ndarray:
+    """Per-path running means of squared values of an ``(M, h)`` ensemble:
+    column ``k - 1`` holds the mean of each path's first ``k`` squares."""
+    running = paths * paths
+    for k in range(1, running.shape[1]):
+        # np.cumsum(axis=1)'s sums in its order, a column at a time: cumsum
+        # loops over the short rows, several times slower at large M
+        running[:, k] += running[:, k - 1]
+    running /= np.arange(1, running.shape[1] + 1)
+    return running
+
+
+def risk_point(stats: np.ndarray, risk) -> float:
+    """Risk-optimal point of per-path statistics: the ensemble mean under L2,
+    the ensemble median under L1."""
+    return float(np.mean(stats) if Risk(risk) is Risk.L2 else np.median(stats))
+
+
 class Statistic(str, enum.Enum):
     SQUARED_STEP = "SQUARED_STEP"
     AGGREGATED_SQUARED = "AGGREGATED_SQUARED"
 
-
-def _squared_step(paths: np.ndarray) -> np.ndarray:
-    return paths[:, -1] ** 2
-
-
-def _aggregated_squared(paths: np.ndarray) -> np.ndarray:
-    return np.mean(paths * paths, axis=1)
-
-
-_STATISTICS: dict[Statistic, Callable[[np.ndarray], np.ndarray]] = {
-    Statistic.SQUARED_STEP: _squared_step,
-    Statistic.AGGREGATED_SQUARED: _aggregated_squared,
-}
+    def per_path(self, paths: np.ndarray) -> np.ndarray:
+        """This statistic of every path of an ``(M, h)`` ensemble."""
+        if self is Statistic.SQUARED_STEP:
+            return paths[:, -1] ** 2
+        return aggregated_squared(paths)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -59,7 +71,6 @@ class ForecastRequest:
         Statistic.AGGREGATED_SQUARED
     )
     seed: Seed = field(default_factory=Seed)
-    freeze_variance: bool = False
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -73,7 +84,7 @@ class ForecastRequest:
     def statistic_fn(self) -> Callable[[np.ndarray], np.ndarray]:
         if callable(self.statistic):
             return self.statistic
-        return _STATISTICS[Statistic(self.statistic)]
+        return Statistic(self.statistic).per_path
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,24 @@ class ForecastResult:
     paths: int
     seed: Seed
     stepwise_l1_aggregate: float | None = None
+
+    @classmethod
+    def of_ensemble(
+        cls, stats: np.ndarray, risk, horizon: int, statistic: str, seed: Seed,
+        stepwise_l1_aggregate: float | None = None,
+    ) -> "ForecastResult":
+        """Summary of the per-path statistics ``stats`` of one ensemble."""
+        return cls(
+            point=risk_point(stats, risk),
+            ensemble_mean=risk_point(stats, Risk.L2),
+            ensemble_median=risk_point(stats, Risk.L1),
+            horizon=horizon,
+            risk=Risk(risk),
+            statistic=statistic,
+            paths=len(stats),
+            seed=seed,
+            stepwise_l1_aggregate=stepwise_l1_aggregate,
+        )
 
 
 def simulate_paths(
@@ -170,13 +199,10 @@ def predict(
     """
     gen = substream(req.seed)
     draws = req.source.draw(gen, (req.paths, req.horizon))
-    paths = simulate_paths(ct, draws, freeze_variance=req.freeze_variance)
+    paths = simulate_paths(ct, draws)
     stats = np.asarray(req.statistic_fn()(paths), dtype=float)
     if stats.shape != (req.paths,):
         raise DataError("statistic must map an (M, h) ensemble to M values")
-    ensemble_mean = float(stats.mean())
-    ensemble_median = float(np.median(stats))
-    point = ensemble_mean if Risk(req.risk) is Risk.L2 else ensemble_median
 
     stepwise = None
     if not callable(req.statistic) and (
@@ -186,20 +212,17 @@ def predict(
         # the time-aggregated L1 target; reported alongside, never the point
         stepwise = float(np.mean(np.median(paths * paths, axis=0)))
 
-    result = ForecastResult(
-        point=point,
-        ensemble_mean=ensemble_mean,
-        ensemble_median=ensemble_median,
-        horizon=req.horizon,
-        risk=Risk(req.risk),
-        statistic=(
+    result = ForecastResult.of_ensemble(
+        stats,
+        req.risk,
+        req.horizon,
+        (
             req.statistic.value
             if isinstance(req.statistic, Statistic)
             else getattr(req.statistic, "__name__", "custom")
         ),
-        paths=req.paths,
-        seed=req.seed,
-        stepwise_l1_aggregate=stepwise,
+        req.seed,
+        stepwise,
     )
     if return_paths:
         return result, paths

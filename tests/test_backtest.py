@@ -8,18 +8,30 @@ from hypothesis import strategies as st
 from novas import (
     BacktestConfig,
     DataError,
+    ForecastRequest,
     MethodKey,
     NovasVariant,
     ReturnSeries,
+    Risk,
     Seed,
     TrimBoundError,
+    calibrate,
+    fit_garch11_mle,
     format_table,
+    garch_bootstrap_forecast,
     generate,
+    innovation_source,
+    predict,
     relative_report,
     run_rolling_poos,
     score_performance,
+    simulate_paths,
+    substream,
 )
 import novas.backtest
+from novas.backtest import KIND_TO_SOURCE, KINDS
+from novas.garch import garch_bootstrap_paths
+from novas.predictor import aggregated_squared, risk_point
 from novas.simulate import ModelSpec
 from novas.weights import CalibrationGrid
 
@@ -197,6 +209,66 @@ class TestDeterminism:
         )
         assert not np.array_equal(
             other.predictions[some_key][1], small_report.predictions[some_key][1]
+        )
+
+
+class TestLibraryPath:
+    """The backtest, ``predict`` and ``garch_bootstrap_forecast`` forecast
+    through the same draw, simulation, aggregate and reduce."""
+
+    def test_backtest_entries_rebuilt_from_library_pieces(self, short_series):
+        y = ReturnSeries(short_series.values[:70])
+        cfg = small_config(horizons=(1, 5))
+        report = run_rolling_poos(y, cfg)
+        assert report.counts == {1: 10, 5: 6}
+        for w0 in (0, report.counts[1] - 1):
+            window = ReturnSeries(y.values[w0 : w0 + cfg.window])
+            h_here = [h for h in cfg.horizons if w0 < report.counts[h]]
+            h_top = max(h_here)
+            expected = {}
+            for variant in cfg.variants:
+                vi = list(NovasVariant).index(variant)
+                for ai, alpha in enumerate(cfg.alpha_grid):
+                    ct = calibrate(variant, alpha, window, cfg.grid)
+                    for ki, kind in enumerate(KINDS):
+                        gen = substream(
+                            cfg.seed, novas.backtest._DOMAIN_NOVAS, w0, vi, ai, ki
+                        )
+                        source = innovation_source(ct, KIND_TO_SOURCE[kind])
+                        draws = source.draw(gen, (cfg.paths, h_top))
+                        aggs = aggregated_squared(simulate_paths(ct, draws))
+                        for risk in cfg.risks:
+                            key = MethodKey(variant.value, alpha, risk, kind)
+                            expected[key] = aggs, risk
+            gen = substream(cfg.seed, novas.backtest._DOMAIN_GARCH_BOOT, w0)
+            fit = fit_garch11_mle(window)
+            aggs = aggregated_squared(garch_bootstrap_paths(fit, gen, cfg.paths, h_top))
+            for risk in cfg.risks:
+                expected[MethodKey("GARCH_BOOT", None, risk, None)] = aggs, risk
+            assert len(expected) == 2 * 2 * 2 * 2 + 2
+            for key, (aggs, risk) in expected.items():
+                for h in h_here:
+                    got = report.predictions[key][h][w0]
+                    assert got == risk_point(aggs[:, h - 1], risk), (w0, key.label(), h)
+
+    @pytest.mark.parametrize("risk", list(Risk))
+    def test_predict_and_garch_bootstrap_reduce_the_same_way(self, short_series, risk):
+        ct = calibrate(NovasVariant.GE, 0.5, short_series, FAST_GRID)
+        req = ForecastRequest(
+            horizon=9,
+            source=innovation_source(ct, KIND_TO_SOURCE["mc"]),
+            paths=200,
+            risk=risk,
+            seed=Seed(11),
+        )
+        draws = req.source.draw(substream(req.seed), (req.paths, req.horizon))
+        aggs = aggregated_squared(simulate_paths(ct, draws))
+        assert predict(ct, req).point == risk_point(aggs[:, -1], risk)
+
+        fit = fit_garch11_mle(short_series)
+        paths = garch_bootstrap_paths(fit, substream(Seed(11)), 200, 9)
+        assert garch_bootstrap_forecast(fit, 9, 200, risk, Seed(11)).point == (
+            risk_point(aggregated_squared(paths)[:, -1], risk)
         )
 
 
