@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("simulate", help="generate synthetic returns")
-    p.add_argument("--model", required=True, choices=list(MODELS) + ["CUSTOM"])
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--burn-in", type=int, default=500)
     p.add_argument("--seed", type=int, default=None)

@@ -110,7 +110,7 @@ def _unpack(theta: np.ndarray) -> tuple[float, float, float]:
 _STARTS = ((0.90, 0.10), (0.95, 0.05), (0.70, 0.30), (0.98, 0.08), (0.50, 0.20))
 
 
-def fit_garch11_mle(y: ReturnSeries, max_restarts: int = len(_STARTS)) -> GarchFit:
+def fit_garch11_mle(y: ReturnSeries) -> GarchFit:
     """Quasi-MLE over the stationarity region; best of the multi-start runs."""
     values = y.values
     if values.size < 30:
@@ -137,7 +137,7 @@ def fit_garch11_mle(y: ReturnSeries, max_restarts: int = len(_STARTS)) -> GarchF
 
     best_theta = None
     best_val = math.inf
-    for persistence, share in _STARTS[:max_restarts]:
+    for persistence, share in _STARTS:
         theta0 = np.array(
             [
                 math.log(sample_var * (1.0 - persistence)),

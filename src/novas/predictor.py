@@ -80,11 +80,17 @@ class ForecastRequest:
                 f"ensemble of {self.paths} paths is below the meaningful "
                 f"minimum {MIN_PATHS}"
             )
+        if not callable(self.statistic):
+            try:
+                statistic = Statistic(self.statistic)
+            except ValueError:
+                raise DataError(f"unknown statistic {self.statistic!r}") from None
+            object.__setattr__(self, "statistic", statistic)
 
     def statistic_fn(self) -> Callable[[np.ndarray], np.ndarray]:
         if callable(self.statistic):
             return self.statistic
-        return Statistic(self.statistic).per_path
+        return self.statistic.per_path
 
 
 @dataclass(frozen=True)
@@ -205,9 +211,7 @@ def predict(
         raise DataError("statistic must map an (M, h) ensemble to M values")
 
     stepwise = None
-    if not callable(req.statistic) and (
-        Statistic(req.statistic) is Statistic.AGGREGATED_SQUARED
-    ):
+    if req.statistic is Statistic.AGGREGATED_SQUARED:
         # aggregate of per-step L1 predictors, the alternative reading of
         # the time-aggregated L1 target; reported alongside, never the point
         stepwise = float(np.mean(np.median(paths * paths, axis=0)))

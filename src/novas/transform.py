@@ -26,20 +26,26 @@ the window's residuals therefore multiplies the lag part of the mean by
 ``mu`` each step; at ``mu >= 1`` a long-horizon bootstrap forecast grows
 without bound in the mean. For the a0-free variants ``mu = E[W^2] * sum(lags)``.
 
-The grid scan is vectorized: for a fixed order the lagged-squared-return
-convolution is one matrix product shared by every candidate, and the
-exponential/geometric profiles scale linearly in ``1 - alpha``, so one scan
-serves a whole alpha grid. The winning point is then re-evaluated through
-the plain :func:`forward_transform` path, which is what the returned
-transform reports. The variance path ``s2`` is not recomputed by either:
+Calibration has two parts. A cached candidate table per (variant, alpha,
+window length, grid) holds what does not depend on the data: each feasible
+point's shape, order, ``eff``, lag mass, ``a0`` and lag profile. Every
+variant-specific rule lives there, and :func:`feasible_alphas` reads it too.
+One scan then serves every variant: per lag order, one matrix product of the
+window's lagged squared returns and the profiles, shared by every alpha; per
+(alpha, order), one vectorized scoring of ``scale * product + alpha * s2``
+(``scale`` is ``1 - alpha``, or 1 for GA's unnormalized profiles). The
+winning point is then re-evaluated through the plain
+:func:`forward_transform` path, which is what the returned transform reports. The variance path ``s2`` is not recomputed by either:
 both read the one cached on the window's :class:`ReturnSeries`, so every
 variant, every alpha and every returned transform of a window share it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,6 +64,7 @@ from .weights import (
     NovasWeights,
     build_weights,
     exponential_profile,
+    geometric_profile,
 )
 
 
@@ -140,8 +147,8 @@ def _column_scores(
     """Objective ``|m4/m2^2 - 3|`` and lag multiplier ``mu`` of each candidate.
 
     ``core`` holds one column per candidate of ``D_t``, the studentizing
-    denominator without its contemporaneous term; ``eff`` (a scalar or one
-    value per column) weights that term and ``lag_mass`` is the candidate's
+    denominator without its contemporaneous term; ``eff`` (one value per
+    column) weights that term and ``lag_mass`` is the candidate's
     ``sum(lags)``. Degenerate candidates (nonpositive denominator or constant
     residuals) get objective +inf so selection skips them.
     """
@@ -198,34 +205,103 @@ def ge_order_for(alpha: float, c: float, n: int, grid: CalibrationGrid):
         p = min(2 * p, cap)
 
 
-def _exponential_candidates(
-    variant: NovasVariant, alpha: float, n: int, grid: CalibrationGrid
-) -> list[tuple[float, int]]:
-    """Feasible ``(c, order)`` pairs for the GE family at one alpha."""
-    out = []
-    for c in grid.ge_c_values():
-        if variant is NovasVariant.GE:
-            order, feasible = ge_order_for(alpha, float(c), n, grid)
-            if not feasible:
-                continue
+def _grid_shapes(variant: NovasVariant, grid: CalibrationGrid) -> list[tuple]:
+    """The free shape parameters of every grid point, in grid order."""
+    if variant.exponential_family:
+        return [(float(c),) for c in grid.ge_c_values()]
+    vals = [float(v) for v in grid.ga_values()]
+    if variant is NovasVariant.GA:
+        return [(a1, b1) for a1 in vals for b1 in vals]
+    return [(1.0, b1) for b1 in vals]
+
+
+@functools.lru_cache(maxsize=128)
+def _unit_columns(variant: NovasVariant, order: int, grid: CalibrationGrid):
+    """Every grid shape's lag profile at ``order``, one matrix column each in
+    grid order, and each profile's weight on the contemporaneous term (GE
+    only). Profiles have unit mass, to be scaled by ``1 - alpha``, except
+    GA's raw ``a1 * b1**(i-1)``."""
+    cols = []
+    for shape in _grid_shapes(variant, grid):
+        if variant.exponential_family:
+            prof = exponential_profile(shape[0], order, variant.keeps_a0)
+            cols.append(prof / prof.sum())
+        elif variant is NovasVariant.GA:
+            cols.append(geometric_profile(*shape, order))
         else:
-            order = min(grid.adaptive_ge_order(float(c), n), max(1, n - 3))
-        out.append((float(c), order))
-    return out
+            b1 = shape[1]
+            cols.append(geometric_profile((1.0 - b1) / (1.0 - b1**order), b1, order))
+    lags = np.column_stack(cols)
+    heads = np.zeros(lags.shape[1])
+    if variant is NovasVariant.GE:
+        heads, lags = lags[0], lags[1:]
+    lags.flags.writeable = heads.flags.writeable = False
+    return lags, heads
 
 
-def _ga_static(grid: CalibrationGrid, order: int):
-    """Alpha-independent pieces of the GA grid: the (a1, b1) mesh, its lag
-    profiles as matrix columns, and each profile's mass."""
-    vals = grid.ga_values()
-    a1g, b1g = [a.ravel() for a in np.meshgrid(vals, vals, indexing="ij")]
-    powers = b1g[None, :] ** np.arange(order)[:, None]
-    lag_cols = a1g[None, :] * powers
-    return a1g, b1g, lag_cols, lag_cols.sum(axis=0)
+class _CandidateTable(NamedTuple):
+    """The feasible points of one (variant, alpha, window length, grid) in grid
+    order: ``(shape, order, a0)``, contemporaneous weight and lag mass, and one
+    ``(order, rows, columns, unit)`` group per lag order, ``columns`` indexing
+    the points' profiles in that order's :func:`_unit_columns` matrix."""
+
+    scale: float
+    points: tuple[tuple[tuple, int, float], ...]
+    eff: np.ndarray
+    mass: np.ndarray
+    groups: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def _ga_order(n: int, grid: CalibrationGrid) -> int:
-    return min(grid.order_cap_for(n), max(1, n - 3))
+@functools.lru_cache(maxsize=128)
+def _candidate_table(
+    variant: NovasVariant, alpha: float, n: int, grid: CalibrationGrid
+) -> _CandidateTable:
+    """Everything about one variant's grid that does not depend on the data,
+    and the only place where the variants differ.
+
+    GE escalates each decay rate's order through :func:`ge_order_for` and
+    drops the rates it cannot rescue; GA keeps the ``(a1, b1)`` points whose
+    solved intercept budget is admissible; the a0-free variants keep every
+    point. Cached, so a run decides feasibility once and every window reuses it.
+    """
+    shapes = _grid_shapes(variant, grid)
+    if not shapes:
+        return _CandidateTable(1.0, (), np.empty(0), np.empty(0), ())
+    if variant is NovasVariant.GE:
+        fits = [ge_order_for(alpha, c, n, grid) for (c,) in shapes]
+        orders = np.array([order if feasible else 0 for order, feasible in fits])
+    elif variant is NovasVariant.GE_NO_A0:
+        cap = max(1, n - 3)
+        orders = np.array([min(grid.adaptive_ge_order(c, n), cap) for (c,) in shapes])
+    else:
+        orders = np.full(len(shapes), min(grid.order_cap_for(n), max(1, n - 3)))
+    if variant is NovasVariant.GA:
+        a1, b1 = np.array(shapes).T
+        mass = _unit_columns(variant, int(orders[0]), grid)[0].sum(axis=0)
+        eff = 1.0 - alpha - mass  # the solved a0 / (1 - b1)
+        a0 = eff * (1.0 - b1)
+        orders[~((eff >= 0.0) & (eff <= A0_MAX) & (eff >= a1))] = 0
+        scale = 1.0
+    else:
+        heads = [
+            _unit_columns(variant, int(p), grid)[1][j] if p else 0.0
+            for j, p in enumerate(orders)
+        ]
+        scale = 1.0 - alpha
+        eff = a0 = scale * np.array(heads)
+        mass = 1.0 - alpha - eff
+
+    keep = np.flatnonzero(orders)
+    groups = []
+    for order in np.unique(orders[keep]).tolist():
+        rows = np.flatnonzero(orders[keep] == order)
+        columns = keep[rows]
+        rows.flags.writeable = columns.flags.writeable = False
+        groups.append((order, rows, columns, _unit_columns(variant, order, grid)[0]))
+    eff, mass = eff[keep], mass[keep]
+    eff.flags.writeable = mass.flags.writeable = False
+    points = tuple((shapes[j], int(orders[j]), float(a0[j])) for j in keep)
+    return _CandidateTable(scale, points, eff, mass, tuple(groups))
 
 
 def feasible_alphas(
@@ -237,22 +313,10 @@ def feasible_alphas(
     on the data, so the rolling harness can decide it once up front.
     """
     grid = grid or CalibrationGrid()
-    if variant is NovasVariant.GA:
-        order = _ga_order(window_len, grid)
-        a1g, _, _, mass = _ga_static(grid, order)
-        out = []
-        for alpha in alphas:
-            budget = 1.0 - alpha - mass
-            feasible = (budget >= 0.0) & (budget <= A0_MAX) & (budget >= a1g)
-            if np.any(feasible):
-                out.append(alpha)
-        return out
-    if variant is NovasVariant.GA_NO_A0:
-        return list(alphas)
     return [
         alpha
         for alpha in alphas
-        if _exponential_candidates(variant, alpha, window_len, grid)
+        if _candidate_table(variant, alpha, window_len, grid).points
     ]
 
 
@@ -295,100 +359,31 @@ def calibrate_many(
         )
     arrays = _WindowArrays(y)
     n = arrays.n
+    products: dict[int, np.ndarray] = {}  # order -> lag_matrix(order) @ unit
     out: dict[float, CalibratedTransform] = {}
-
-    if variant.garch_family:
-        order = _ga_order(n, grid)
-        a1g, b1g, lag_cols, mass = _ga_static(grid, order)
-        if variant is NovasVariant.GA:
-            core_cache = None
-            for alpha in alphas:
-                budget = 1.0 - alpha - mass  # equals a0 / (1 - b1)
-                feasible = (budget >= 0.0) & (budget <= A0_MAX) & (budget >= a1g)
-                idx = np.flatnonzero(feasible)
-                if idx.size == 0:
-                    raise CalibrationError(
-                        f"no feasible (a1, b1) grid point for GA at alpha={alpha}"
-                    )
-                if core_cache is None:
-                    core_cache = arrays.lag_matrix(order) @ lag_cols
-                core = core_cache[:, idx] + (alpha * arrays.s2[order:n])[:, None]
-                objs, mus = _column_scores(
-                    arrays.values[order:], core, budget[idx], mass[idx]
-                )
-                cands = [
-                    {
-                        "shape": (float(a1g[j]), float(b1g[j])),
-                        "order": order,
-                        "a0": float(budget[j] * (1.0 - b1g[j])),
-                        "objective": float(objs[pos]),
-                        "mu": float(mus[pos]),
-                    }
-                    for pos, j in enumerate(idx)
-                ]
-                out[alpha] = _finish(variant, alpha, y, _select(cands), grid)
-        else:
-            b1_vals = grid.ga_values()
-            unit_cols = np.empty((order, b1_vals.size))
-            for j, b1 in enumerate(b1_vals):
-                unit_cols[:, j] = (
-                    (1.0 - b1) / (1.0 - b1**order) * b1 ** np.arange(order)
-                )
-            core_unit = arrays.lag_matrix(order) @ unit_cols
-            for alpha in alphas:
-                core = (1.0 - alpha) * core_unit
-                core += (alpha * arrays.s2[order:n])[:, None]
-                objs, mus = _column_scores(arrays.values[order:], core, 0.0, 1.0 - alpha)
-                cands = [
-                    {
-                        "shape": (1.0, float(b1)),
-                        "order": order,
-                        "a0": 0.0,
-                        "objective": float(objs[j]),
-                        "mu": float(mus[j]),
-                    }
-                    for j, b1 in enumerate(b1_vals)
-                ]
-                out[alpha] = _finish(variant, alpha, y, _select(cands), grid)
-        return out
-
-    unit_cache: dict[tuple[float, int], tuple[float, np.ndarray]] = {}
     for alpha in alphas:
-        pairs = _exponential_candidates(variant, alpha, n, grid)
-        if not pairs:
+        table = _candidate_table(variant, alpha, n, grid)
+        if not table.points:
             raise CalibrationError(
-                f"no feasible decay rate for {variant.value} at alpha={alpha}"
+                f"no feasible grid point for {variant.value} at alpha={alpha}"
             )
-        cands = []
-        for c, order in pairs:
-            key = (c, order)
-            if key not in unit_cache:
-                if variant is NovasVariant.GE:
-                    prof = exponential_profile(c, order, include_zero=True)
-                    unit = prof / prof.sum()
-                    u0, u_lags = float(unit[0]), unit[1:]
-                else:
-                    prof = exponential_profile(c, order, include_zero=False)
-                    unit = prof / prof.sum()
-                    u0, u_lags = 0.0, unit
-                core_unit = arrays.lag_matrix(order) @ u_lags
-                unit_cache[key] = (u0, core_unit)
-            u0, core_unit = unit_cache[key]
-            scale = 1.0 - alpha
-            core = scale * core_unit + alpha * arrays.s2[order:n]
-            eff = scale * u0
-            objs, mus = _column_scores(
-                arrays.values[order:], core[:, None], eff, 1.0 - alpha - eff
+        objs = np.empty(len(table.points))
+        mus = np.empty(len(table.points))
+        for order, rows, columns, unit in table.groups:
+            if order not in products:
+                products[order] = arrays.lag_matrix(order) @ unit
+            core = products[order][:, columns]
+            core *= table.scale
+            core += (alpha * arrays.s2[order:n])[:, None]
+            objs[rows], mus[rows] = _column_scores(
+                arrays.values[order:], core, table.eff[rows], table.mass[rows]
             )
-            cands.append(
-                {
-                    "shape": (c,),
-                    "order": order,
-                    "a0": eff,
-                    "objective": float(objs[0]),
-                    "mu": float(mus[0]),
-                }
+        cands = [
+            {"shape": shape, "order": order, "a0": a0, "objective": o, "mu": m}
+            for (shape, order, a0), o, m in zip(
+                table.points, objs.tolist(), mus.tolist()
             )
+        ]
         out[alpha] = _finish(variant, alpha, y, _select(cands), grid)
     return out
 

@@ -3,6 +3,7 @@ suite. Everything here is written as plain loops from the defining formulas,
 deliberately sharing no code with the library's vectorized paths.
 """
 
+import functools
 import math
 import statistics
 
@@ -27,6 +28,13 @@ def oracle_prefix_variance(values, t: int) -> float:
     return statistics.pvariance(window)
 
 
+@functools.lru_cache(maxsize=16)
+def _prefix_variances(values: tuple) -> tuple:
+    """``oracle_prefix_variance(values, t)`` for every ``t < len(values)``,
+    memoized by the series' values: every candidate of a grid shares them."""
+    return tuple(oracle_prefix_variance(values, t) for t in range(len(values)))
+
+
 def oracle_residuals(values, alpha: float, eff: float, lags, prefix_vars=None):
     """Studentized residuals straight from the defining equation.
 
@@ -37,7 +45,7 @@ def oracle_residuals(values, alpha: float, eff: float, lags, prefix_vars=None):
     lags = [float(v) for v in lags]
     k = len(lags)
     if prefix_vars is None:
-        prefix_vars = [oracle_prefix_variance(values, t) for t in range(len(values))]
+        prefix_vars = _prefix_variances(tuple(values))
     out = []
     for t0 in range(k, len(values)):
         acc = eff * values[t0] ** 2 + alpha * prefix_vars[t0]
@@ -56,7 +64,7 @@ def oracle_lag_multiplier(values, alpha, lags, prefix_vars=None):
     lags = [float(v) for v in lags]
     k = len(lags)
     if prefix_vars is None:
-        prefix_vars = [oracle_prefix_variance(values, t) for t in range(len(values))]
+        prefix_vars = _prefix_variances(tuple(values))
     total = 0.0
     for t0 in range(k, len(values)):
         core = alpha * prefix_vars[t0]
@@ -95,7 +103,7 @@ def oracle_candidates(variant, alpha, values, grid):
     name = getattr(variant, "value", str(variant))
     n = len(values)
     values = [float(v) for v in values]
-    prefix_vars = [oracle_prefix_variance(values, t) for t in range(n)]
+    prefix_vars = _prefix_variances(tuple(values))
     cands = []
 
     if name in ("GE", "GE_NO_A0"):

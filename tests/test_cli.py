@@ -160,6 +160,14 @@ class TestErrors:
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
 
+    def test_custom_model_not_offered(self, tmp_path, capsys):
+        # CUSTOM needs a params mapping, which the command line cannot pass
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--model", "CUSTOM", "--n", "30",
+                     "--output", tmp_path / "c.csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'CUSTOM'" in capsys.readouterr().err
+
     def test_missing_input_single_error_line(self, tmp_path, capsys):
         code = run_cli(["calibrate", "--input", tmp_path / "nope.csv",
                         "--variant", "GE", "--alpha", "0.5",

@@ -164,18 +164,30 @@ class TestPredict:
                 assert stats.min() <= result.ensemble_median <= stats.max()
                 assert stats.min() <= result.ensemble_mean <= stats.max()
 
-    def test_squared_step_statistic(self, fitted):
+    @pytest.mark.parametrize(
+        "statistic", [Statistic.SQUARED_STEP, "SQUARED_STEP"], ids=["member", "name"]
+    )
+    def test_squared_step_statistic(self, fitted, statistic):
         ct = fitted["GE"]
         req = ForecastRequest(
             horizon=4,
             source=innovation_source(ct, SourceKind.TRIMMED_NORMAL),
             paths=250,
-            statistic=Statistic.SQUARED_STEP,
+            statistic=statistic,
             seed=Seed(2),
         )
         result, paths = predict(ct, req, return_paths=True)
         assert result.point == pytest.approx(float(np.mean(paths[:, -1] ** 2)), rel=1e-12)
         assert result.stepwise_l1_aggregate is None
+        assert result.statistic == "SQUARED_STEP"
+
+    def test_unknown_statistic_name(self, fitted):
+        with pytest.raises(DataError, match="unknown statistic"):
+            ForecastRequest(
+                horizon=1,
+                source=innovation_source(fitted["GE"], SourceKind.TRIMMED_NORMAL),
+                statistic="LAST_STEP",
+            )
 
     def test_pluggable_statistic(self, fitted):
         ct = fitted["GE_NO_A0"]

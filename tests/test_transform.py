@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -305,16 +306,18 @@ class TestFeasibleAlphas:
         assert 0.1 not in feasible
         assert any(a >= 0.5 for a in feasible)
 
-    def test_matches_calibration_success(self, model3_window):
-        grid = CalibrationGrid(ga_step=0.05)
+    @pytest.mark.parametrize("ga_step", [0.05, 0.02, 0.8])  # 0.8: an empty GA grid
+    @pytest.mark.parametrize("variant", list(NovasVariant))
+    def test_matches_calibration_success(self, variant, ga_step, model3_window):
+        grid = CalibrationGrid(ga_step=ga_step)
         alphas = tuple(k / 10 for k in range(1, 9))
-        feasible = feasible_alphas(NovasVariant.GA, alphas, len(model3_window), grid)
+        feasible = feasible_alphas(variant, alphas, len(model3_window), grid)
         for alpha in alphas:
             if alpha in feasible:
-                calibrate(NovasVariant.GA, alpha, model3_window, grid)
+                calibrate(variant, alpha, model3_window, grid)
             else:
                 with pytest.raises(CalibrationError):
-                    calibrate(NovasVariant.GA, alpha, model3_window, grid)
+                    calibrate(variant, alpha, model3_window, grid)
 
 
 class TestSharedVariancePath:
@@ -345,3 +348,35 @@ class TestSharedVariancePath:
         forward_transform(window, fitted[-1].weights)
         assert len(fitted) > 20
         assert calls == [250]
+
+
+class TestChosenPoints:
+    """The chosen ``(shape, order)`` of every (window, variant, alpha) on the
+    30 acceptance-fixture windows, pinned by a digest plus spot values."""
+
+    DIGEST = "339d46da2aa7c2771a7ad0ed62f56b450b8a86bfdc52862db1258931cd2c1fcf"
+    SPOTS = (
+        "0 GE 0.1 30 0.101545881045",
+        "10 GE_NO_A0 0.3 4 1.01545881045",
+        "17 GE 0.3 52 0.17275536473",
+        "17 GA 0.7 30 0.1,0.5",
+        "17 GA_NO_A0 0.1 30 0.49500000002,0.45",
+    )
+
+    def test_fixture_windows(self):
+        grid = CalibrationGrid(ga_step=0.05)
+        alphas = tuple(k / 10 for k in range(1, 9))
+        values = generate(ModelSpec(model="M1", n=280, seed=Seed(3))).values
+        lines = []
+        for w0 in range(30):
+            window = ReturnSeries(values[w0 : w0 + 250])
+            for variant in NovasVariant:
+                usable = feasible_alphas(variant, alphas, 250, grid)
+                for alpha, ct in calibrate_many(variant, usable, window, grid).items():
+                    shape = ",".join(f"{x:.12g}" for x in ct.weights.shape)
+                    lines.append(
+                        f"{w0} {variant.value} {alpha:g} {ct.weights.order} {shape}"
+                    )
+        assert len(lines) == 870
+        assert set(self.SPOTS) <= set(lines)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
