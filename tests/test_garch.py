@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,8 @@ from novas import (
     gaussian_loglik,
     generate,
 )
-from novas.garch import _STARTS, _unpack
+import novas.garch as garch
+from novas.garch import _STARTS, garch_score
 from novas.simulate import ModelSpec
 
 from oracles import oracle_garch_loglik
@@ -79,16 +78,12 @@ class TestFit:
         sample_var = float(np.var(values))
         fit = fit_garch11_mle(y)
         for persistence, share in _STARTS:
-            theta0 = np.array([
-                math.log(sample_var * (1.0 - persistence)),
-                math.log(persistence / (1 - persistence)),
-                math.log(share / (1 - share)),
-            ])
-            omega, alpha1, beta1 = _unpack(theta0)
-            start_ll = gaussian_loglik(
-                GarchParams(omega, alpha1, beta1), values, sample_var
+            start = GarchParams(
+                sample_var * (1.0 - persistence),
+                persistence * share,
+                persistence * (1.0 - share),
             )
-            assert fit.loglik >= start_ll - 1e-9
+            assert fit.loglik >= gaussian_loglik(start, values, sample_var) - 1e-9
 
     def test_short_series_rejected(self):
         with pytest.raises(DataError):
@@ -104,6 +99,150 @@ class TestFit:
         b = fit_garch11_mle(y)
         assert a.params == b.params
         assert a.loglik == b.loglik
+
+
+class TestScore:
+    @pytest.mark.parametrize("source", ["normal", "M3"])
+    def test_matches_central_differences_of_oracle(self, source):
+        rng = np.random.default_rng(11)
+        if source == "normal":
+            values = rng.normal(scale=0.01, size=300)
+        else:
+            values = generate(ModelSpec(model="M3", n=300, seed=Seed(5))).values
+        init = float(np.var(values))
+        for _ in range(10):
+            persistence = float(rng.uniform(0.3, 0.99))
+            share = float(rng.uniform(0.05, 0.6))
+            point = np.array([
+                init * (1.0 - persistence) * float(rng.uniform(0.5, 2.0)),
+                persistence * share,
+                persistence * (1.0 - share),
+            ])
+            ll, score = garch_score(GarchParams(*point), values, init)
+            oracle = oracle_garch_loglik(values, *point, init)
+            assert ll == pytest.approx(oracle, rel=1e-12)
+            numeric = np.empty(3)
+            for i in range(3):
+                step = np.zeros(3)
+                step[i] = 1e-3 * point[i]
+                f = [
+                    oracle_garch_loglik(values, *(point + k * step), init)
+                    for k in (-2, -1, 1, 2)
+                ]
+                # fourth-order central difference
+                numeric[i] = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * step[i])
+            np.testing.assert_allclose(score, numeric, rtol=1e-6)
+
+    def test_matches_loglik_with_sample_variance_default(self):
+        values = generate(ModelSpec(model="M3", n=300, seed=Seed(5))).values
+        params = GarchParams(2e-5, 0.1, 0.7)
+        ll, score = garch_score(params, values)
+        assert ll == gaussian_loglik(params, values)
+        np.testing.assert_array_equal(
+            score, garch_score(params, values, float(np.var(values)))[1]
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_interior_optimum_is_stationary(self, seed):
+        y = generate(ModelSpec(model="M3", n=400, seed=Seed(seed)))
+        fit = fit_garch11_mle(y)
+        assert fit.converged and not fit.persistence_at_bound
+        p = fit.params
+        # gradient in (log omega, log alpha1, log beta1)
+        scaled = garch_score(p, y.values)[1] * np.array([p.omega, p.alpha1, p.beta1])
+        assert np.all(np.abs(scaled) < 1e-4)
+
+    def test_bound_optimum_points_outward(self):
+        # M3 seed 0, window 24..273: persistence ends at the bound
+        values = generate(ModelSpec(model="M3", n=499, seed=Seed(0))).values[24:274]
+        fit = fit_garch11_mle(ReturnSeries(values))
+        assert fit.persistence_at_bound
+        p = fit.params
+        g_omega, g_alpha, g_beta = garch_score(p, values)[1]
+        persistence = p.alpha1 + p.beta1
+        share = p.alpha1 / persistence
+        # the likelihood still rises along the persistence direction, and
+        # the intercept is at its optimum
+        assert share * g_alpha + (1.0 - share) * g_beta > 0.0
+        assert abs(p.omega * g_omega) < 1e-4
+
+
+class TestOptimumQuality:
+    """Fitted log-likelihoods recorded from the multi-started Nelder-Mead
+    fit that the gradient search replaced; no fit may fall short of its
+    record by more than 1e-9."""
+
+    FIXTURE = (  # M1 seed 3, n=280, windows w0..w0+250 for w0 = 0..29
+        -595.7796922601393, -594.6306689546782, -593.6130279748911,
+        -593.7140313498381, -593.1846923665116, -591.8416643823252,
+        -590.826334312112, -591.0470249562742, -591.0677400967076,
+        -590.9590553423063, -590.7966134628878, -590.8517657073919,
+        -590.7930029168426, -589.5757569251116, -588.3619998101412,
+        -588.411942211528, -588.4000273875849, -588.7071036313451,
+        -588.2685509326609, -587.3693658059494, -587.1885709337798,
+        -587.4118334389793, -587.2545197645605, -588.0929611199683,
+        -587.9157408598226, -587.4242231441308, -586.6928708297736,
+        -585.2606651796161, -585.8449887342905, -585.8262788418019,
+    )
+    M3 = (  # M3 seed 0, n=499, windows w0..w0+250 for w0 = 0, 6, ..., 246
+        884.5090181423784, 882.2673187679604, 876.6002872462212,
+        879.0117189662494, 877.9677076518562, 876.2744079186336,
+        872.1483692640919, 874.3535761257929, 874.2691590714398,
+        873.7375983897994, 876.4521884739704, 876.2792364438042,
+        876.0303705140116, 877.3510633525593, 878.7015985633137,
+        880.5694218568544, 883.0963409812845, 882.8036811802301,
+        887.2521973818164, 884.8210528103559, 889.0093607700614,
+        893.4749681284693, 897.6223728539371, 902.309594844391,
+        903.4181630763514, 904.2599911864424, 901.827020280984,
+        900.788766810274, 907.5012901785706, 907.1280687400663,
+        907.7522662745768, 904.1780743949678, 904.7297032031722,
+        905.6843194175781, 905.3682971761275, 903.5893636512036,
+        901.5941025988313, 901.289441257504, 901.0785105901284,
+        895.0907615118335, 896.1011142717856, 896.8422997222392,
+    )
+
+    @staticmethod
+    def fits(spec, starts):
+        values = generate(spec).values
+        return [fit_garch11_mle(ReturnSeries(values[w0 : w0 + 250])) for w0 in starts]
+
+    def test_fixture_windows(self):
+        fits = self.fits(ModelSpec(model="M1", n=280, seed=Seed(3)), range(30))
+        shortfall = np.array(self.FIXTURE) - [f.loglik for f in fits]
+        assert shortfall.max() <= 1e-9, shortfall.max()
+
+    def test_m3_windows(self):
+        fits = self.fits(ModelSpec(model="M3", n=499, seed=Seed(0)), range(0, 249, 6))
+        assert len(fits) == len(self.M3)
+        shortfall = np.array(self.M3) - [f.loglik for f in fits]
+        assert shortfall.max() <= 1e-9, shortfall.max()
+        at_bound = [f for f in fits if f.persistence_at_bound]
+        assert at_bound
+        for f in at_bound:
+            p = f.params
+            assert GarchParams(p.omega, p.alpha1, p.beta1) == p
+            assert p.alpha1 + p.beta1 < 1.0
+
+
+class TestConvergenceRecord:
+    def test_fields_in_dict(self):
+        fit = fit_garch11_mle(generate(ModelSpec(model="M3", n=300, seed=Seed(2))))
+        d = fit.to_dict()
+        assert d["converged"] is True
+        assert d["iterations"] == fit.iterations > 0
+        assert d["persistence_at_bound"] is False
+
+    def test_unconverged_fit_is_recorded(self, monkeypatch):
+        search = garch.minimize
+
+        def one_step(*args, **kwargs):
+            return search(*args, **{**kwargs, "options": {"maxiter": 1}})
+
+        monkeypatch.setattr(garch, "minimize", one_step)
+        fit = fit_garch11_mle(generate(ModelSpec(model="M3", n=300, seed=Seed(2))))
+        assert not fit.converged
+        assert fit.iterations <= 1
+        assert fit.params.alpha1 + fit.params.beta1 < 1.0
 
 
 class TestDirectForecast:
