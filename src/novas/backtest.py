@@ -36,7 +36,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CalibrationError, DataError, FitError
 from .garch import fit_garch11_mle, garch_bootstrap_paths, garch_direct_forecast
 from .innovations import Seed, SourceKind, substream
-from .predictor import aggregated_squared, innovation_source, risk_point, simulate_paths
+from .predictor import (
+    aggregated_squared,
+    check_paths,
+    innovation_source,
+    risk_point,
+    simulate_paths,
+)
 from .returns import ReturnSeries
 from .transform import CalibrationGrid, calibrate_many, feasible_alphas
 from .weights import NovasVariant
@@ -104,10 +110,7 @@ class BacktestConfig:
             raise DataError(f"unknown metric {self.metric!r}")
         if any(k not in KINDS for k in self.kinds):
             raise DataError(f"kinds must be among {KINDS}")
-        if self.paths < 100:
-            raise DataError(
-                f"ensemble of {self.paths} paths is below the meaningful minimum 100"
-            )
+        check_paths(self.paths)
         if self.threads is None:
             object.__setattr__(self, "threads", len(os.sched_getaffinity(0)))
         elif self.threads < 1:

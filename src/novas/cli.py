@@ -1,10 +1,12 @@
 """Command-line front end: simulate data, calibrate transforms, forecast,
 backtest, and render reports.
 
-Every run writes its outputs atomically and drops a JSON sidecar holding the
-fully resolved configuration (defaults and seed included); ``novas
---from-sidecar run.sidecar.json`` replays a run byte-identically. Errors exit
-nonzero with a single machine-parseable ``error:<category>: <message>`` line.
+A run's options are resolved once from the parser (defaults, seed, comma
+lists and calibration grid included). Every run writes its outputs atomically
+and drops a JSON sidecar holding those options; ``novas --from-sidecar
+run.sidecar.json`` re-parses the recorded options as a command line and
+replays the run byte-identically. Errors exit nonzero with a single
+machine-parseable ``error:<category>: <message>`` line.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ from .returns import (
     to_log_returns,
 )
 from .simulate import MODELS, ModelSpec, generate
-from .transform import calibrate
+from .transform import CalibratedTransform, calibrate
 from .weights import CalibrationGrid, NovasVariant
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
@@ -63,18 +65,20 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _sidecar(command: str, options: dict, outputs: list[str]) -> dict:
-    return {
+def _emit(command: str, options: dict, files: dict[str, str], message: str) -> int:
+    """Write each output atomically, then the sidecar recording the run and
+    its outputs, then print ``message``."""
+    for path, text in files.items():
+        _write_atomic(path, text)
+    sidecar = {
         "command": command,
         "options": options,
-        "outputs": outputs,
+        "outputs": list(files),
         "tool": {"name": "novas", "version": __version__},
     }
-
-
-def _write_sidecar(output: str, command: str, options: dict, outputs: list[str]):
-    _write_atomic(Path(str(output) + ".sidecar.json"),
-                  _json_text(_sidecar(command, options, outputs)))
+    _write_atomic(options["output"] + ".sidecar.json", _json_text(sidecar))
+    print(message)
+    return 0
 
 
 def _default_seed(value) -> int:
@@ -84,30 +88,61 @@ def _default_seed(value) -> int:
     return int(env) if env else 0
 
 
-def _load_returns(args) -> ReturnSeries:
-    path = args.input
+def _parse_list(text: str, convert, name: str) -> list:
+    try:
+        return [convert(p.strip()) for p in text.split(",") if p.strip()]
+    except ValueError as exc:
+        raise DataError(f"cannot parse {name} {text!r}: {exc}") from None
+
+
+_LIST_OPTIONS = {"horizons": int, "alpha_grid": float,
+                 "variants": lambda v: NovasVariant(v).value}
+# parsed names that select or feed the run but are not recorded as options
+_NOT_OPTIONS = {"command", "func", "from_sidecar", "grid", "grid_config", "ga_grid_step"}
+
+
+def _options(args) -> dict:
+    """The run's fully resolved options: what the sidecar records and the
+    command reads. The seed falls back to ``NOVAS_SEED``, comma lists become
+    lists, and the calibration grid is recorded whole."""
+    options = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
+    for key, convert in _LIST_OPTIONS.items():
+        if key in options:
+            options[key] = _parse_list(options[key] or "", convert, key)
+    if options.get("variants") == []:
+        options["variants"] = [v.value for v in NovasVariant]
+    if "seed" in options:
+        options["seed"] = _default_seed(options["seed"])
+    if "grid_config" in vars(args):
+        options["grid"] = _grid_from_args(args).to_dict()
+    return options
+
+
+def _load_returns(options: dict) -> ReturnSeries:
+    path = options["input"]
+    returns_column, price_column = options["returns_column"], options["price_column"]
     with open(path, newline="") as fh:
         header = fh.readline()
     columns = [c.strip() for c in header.strip().split(",")]
-    if args.returns_column in columns:
-        return load_returns_csv(path, args.returns_column)
-    if args.price_column in columns:
-        return to_log_returns(load_price_csv(path, args.price_column))
+    if returns_column in columns:
+        return load_returns_csv(path, returns_column)
+    if price_column in columns:
+        return to_log_returns(load_price_csv(path, price_column))
     raise DataError(
-        f"{path!r} has neither a {args.returns_column!r} nor a "
-        f"{args.price_column!r} column (found {columns})"
+        f"{path!r} has neither a {returns_column!r} nor a "
+        f"{price_column!r} column (found {columns})"
     )
 
 
 def _grid_from_args(args) -> CalibrationGrid:
-    if getattr(args, "grid", None) is not None:  # inline from a replayed sidecar
+    if args.grid is not None:  # inline from a replayed sidecar
         grid = CalibrationGrid.from_dict(args.grid)
-    elif getattr(args, "grid_config", None):
+    elif args.grid_config:
         with open(args.grid_config) as fh:
             grid = CalibrationGrid.from_dict(json.load(fh))
     else:
         grid = CalibrationGrid()
-    if getattr(args, "ga_grid_step", None):
+    if args.ga_grid_step:
         grid = CalibrationGrid(**{**grid.to_dict(), "ga_step": args.ga_grid_step})
     return grid
 
@@ -124,47 +159,28 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 # subcommands
 
 
-def _cmd_simulate(args) -> int:
-    options = {
-        "model": args.model,
-        "n": args.n,
-        "burn_in": args.burn_in,
-        "seed": _default_seed(args.seed),
-        "scale_t_errors": bool(args.scale_t_errors),
-        "output": str(args.output),
-    }
-    spec = ModelSpec(
-        model=options["model"],
-        n=options["n"],
-        burn_in=options["burn_in"],
-        seed=Seed(options["seed"]),
-        scale_t_errors=options["scale_t_errors"],
+def _cmd_simulate(options: dict) -> int:
+    spec = ModelSpec(**{k: v for k, v in options.items() if k != "output"})
+    rows = [[i, repr(float(v))] for i, v in enumerate(generate(spec).values)]
+    return _emit(
+        "simulate", options,
+        {options["output"]: _csv_text(["index", "return"], rows)},
+        f"wrote {len(rows)} returns to {options['output']}",
     )
-    series = generate(spec)
-    rows = [[i, repr(float(v))] for i, v in enumerate(series.values)]
-    _write_atomic(Path(args.output), _csv_text(["index", "return"], rows))
-    _write_sidecar(args.output, "simulate", options, [str(args.output)])
-    print(f"wrote {len(series)} returns to {args.output}")
-    return 0
 
 
-def _calibration_options(args) -> dict:
-    return {
-        "input": str(args.input),
-        "returns_column": args.returns_column,
-        "price_column": args.price_column,
-        "variant": args.variant,
-        "alpha": args.alpha,
-        "grid": _grid_from_args(args).to_dict(),
-    }
+def _calibrated(options: dict) -> CalibratedTransform:
+    """The transform that ``calibrate`` and ``forecast`` fit to their input."""
+    return calibrate(
+        NovasVariant(options["variant"]),
+        options["alpha"],
+        _load_returns(options),
+        CalibrationGrid.from_dict(options["grid"]),
+    )
 
 
-def _cmd_calibrate(args) -> int:
-    options = _calibration_options(args)
-    options["output"] = str(args.output)
-    y = _load_returns(args)
-    grid = CalibrationGrid.from_dict(options["grid"])
-    ct = calibrate(NovasVariant(args.variant), args.alpha, y, grid)
+def _cmd_calibrate(options: dict) -> int:
+    ct = _calibrated(options)
     payload = {
         "variant": ct.variant.value,
         "alpha": ct.weights.alpha,
@@ -179,65 +195,36 @@ def _cmd_calibrate(args) -> int:
             "max_abs": float(np.abs(ct.residuals).max()),
         },
     }
-    _write_atomic(Path(args.output), _json_text(payload))
-    _write_sidecar(args.output, "calibrate", options, [str(args.output)])
-    print(f"calibrated {ct.variant.value} alpha={ct.weights.alpha:g} "
-          f"objective={ct.objective:.6f} -> {args.output}")
-    return 0
+    return _emit(
+        "calibrate", options, {options["output"]: _json_text(payload)},
+        f"calibrated {ct.variant.value} alpha={ct.weights.alpha:g} "
+        f"objective={ct.objective:.6f} -> {options['output']}",
+    )
 
 
-def _cmd_forecast(args) -> int:
-    options = _calibration_options(args)
-    options.update(
-        horizon=args.horizon,
-        paths=args.paths,
-        risk=args.risk,
-        innovations=args.innovations,
-        statistic=args.statistic,
-        seed=_default_seed(args.seed),
-        output=str(args.output),
-    )
-    y = _load_returns(args)
-    grid = CalibrationGrid.from_dict(options["grid"])
-    ct = calibrate(NovasVariant(args.variant), args.alpha, y, grid)
-    statistic = (
-        Statistic.AGGREGATED_SQUARED
-        if args.statistic == "aggregated"
-        else Statistic.SQUARED_STEP
-    )
+def _cmd_forecast(options: dict) -> int:
+    ct = _calibrated(options)
     req = ForecastRequest(
-        horizon=args.horizon,
-        source=innovation_source(ct, KIND_TO_SOURCE[args.innovations]),
-        paths=args.paths,
-        risk=Risk(args.risk),
-        statistic=statistic,
+        horizon=options["horizon"],
+        source=innovation_source(ct, KIND_TO_SOURCE[options["innovations"]]),
+        paths=options["paths"],
+        risk=Risk(options["risk"]),
+        statistic={"aggregated": Statistic.AGGREGATED_SQUARED,
+                   "step": Statistic.SQUARED_STEP}[options["statistic"]],
         seed=Seed(options["seed"]),
     )
     result = predict(ct, req)
     payload = forecast_json(
         result,
-        method=f"{ct.variant.value}/{args.innovations}",
+        method=f"{ct.variant.value}/{options['innovations']}",
         variant=ct.variant.value,
         alpha=ct.weights.alpha,
     )
-    _write_atomic(Path(args.output), _json_text(payload))
-    _write_sidecar(args.output, "forecast", options, [str(args.output)])
-    print(f"h={args.horizon} {args.risk} point={result.point!r} -> {args.output}")
-    return 0
-
-
-def _parse_horizons(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise DataError(f"cannot parse horizons {text!r}") from None
-
-
-def _parse_alpha_grid(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise DataError(f"cannot parse alpha grid {text!r}") from None
+    return _emit(
+        "forecast", options, {options["output"]: _json_text(payload)},
+        f"h={options['horizon']} {options['risk']} point={result.point!r} "
+        f"-> {options['output']}",
+    )
 
 
 def _report_payload(report: BacktestReport, options: dict) -> dict:
@@ -297,89 +284,64 @@ _SCORE_HEADER = [
 ]
 
 
-def _cmd_backtest(args) -> int:
-    options = {
-        "input": str(args.input),
-        "returns_column": args.returns_column,
-        "price_column": args.price_column,
-        "window": args.window,
-        "horizons": list(_parse_horizons(args.horizons)),
-        "alpha_grid": list(_parse_alpha_grid(args.alpha_grid)),
-        "variants": args.variants.split(",") if args.variants else [v.value for v in NovasVariant],
-        "risk": args.risk,
-        "innovations": args.innovations,
-        "paths": args.paths,
-        "metric": args.metric,
-        "seed": _default_seed(args.seed),
-        "threads": args.threads,
-        "grid": _grid_from_args(args).to_dict(),
-        "output": str(args.output),
-        "table": bool(args.table),
-    }
-    y = _load_returns(args)
+def _cmd_backtest(options: dict) -> int:
+    y = _load_returns(options)
     cfg = BacktestConfig(
         window=options["window"],
         horizons=tuple(options["horizons"]),
         alpha_grid=tuple(options["alpha_grid"]),
-        variants=tuple(NovasVariant(v) for v in options["variants"]),
-        risks=("L1", "L2") if args.risk == "both" else (args.risk,),
-        kinds=KINDS if args.innovations == "both" else (args.innovations,),
+        variants=tuple(options["variants"]),
+        risks=("L1", "L2") if options["risk"] == "both" else (options["risk"],),
+        kinds=KINDS if options["innovations"] == "both" else (options["innovations"],),
         paths=options["paths"],
         seed=Seed(options["seed"]),
         grid=CalibrationGrid.from_dict(options["grid"]),
         metric=options["metric"],
         threads=options["threads"],
     )
-    report = run_rolling_poos(y, cfg)
-    payload = _report_payload(report, options)
-
-    out_json = Path(args.output)
-    _write_atomic(out_json, _json_text(payload))
+    payload = _report_payload(run_rolling_poos(y, cfg), options)
+    out_json = Path(options["output"])
     out_csv = out_json.with_suffix(".csv")
-    _write_atomic(out_csv, _csv_text(_SCORE_HEADER, _score_rows(payload)))
-    _write_sidecar(args.output, "backtest", options, [str(out_json), str(out_csv)])
-    if args.table:
-        print(format_table(payload["table"]))
-    print(f"wrote {out_json} and {out_csv}")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    options = {"input": str(args.input), "output": str(args.output), "table": bool(args.table)}
-    with open(args.input) as fh:
-        payload = json.load(fh)
-    out = Path(args.output)
-
-    table_rows = payload["table"]
-    families = [k for k in table_rows[0] if k != "horizon"]
-    table_csv = _csv_text(
-        ["horizon"] + families,
-        [[row["horizon"]] + [repr(row[f]) if row[f] is not None else "" for f in families]
-         for row in table_rows],
+    table = format_table(payload["table"]) + "\n" if options["table"] else ""
+    return _emit(
+        "backtest", options,
+        {
+            str(out_json): _json_text(payload),
+            str(out_csv): _csv_text(_SCORE_HEADER, _score_rows(payload)),
+        },
+        f"{table}wrote {out_json} and {out_csv}",
     )
-    _write_atomic(out.with_suffix(".table.csv"), table_csv)
 
-    pair_rows = []
-    for method, by_h in payload["predictions"].items():
-        for h, preds in by_h.items():
-            truths = payload["truths"][h]
-            for i, (p, t) in enumerate(zip(preds, truths)):
-                pair_rows.append(
-                    [method, h, i, "" if p is None else repr(p), repr(t)]
-                )
-    pairs_csv = _csv_text(
-        ["method", "horizon", "window", "prediction", "truth"], pair_rows
-    )
-    _write_atomic(out.with_suffix(".pairs.csv"), pairs_csv)
 
-    _write_sidecar(
-        args.output, "report", options,
-        [str(out.with_suffix(".table.csv")), str(out.with_suffix(".pairs.csv"))],
+def _cmd_report(options: dict) -> int:
+    path = options["input"]
+    out = Path(options["output"])
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+            rows = payload["table"]
+            families = [k for k in rows[0] if k != "horizon"]
+            table_csv = _csv_text(
+                ["horizon"] + families,
+                [[row["horizon"]] + [repr(row[f]) if row[f] is not None else "" for f in families]
+                 for row in rows],
+            )
+            pairs_csv = _csv_text(
+                ["method", "horizon", "window", "prediction", "truth"],
+                [[method, h, i, "" if p is None else repr(p), repr(t)]
+                 for method, by_h in payload["predictions"].items()
+                 for h, preds in by_h.items()
+                 for i, (p, t) in enumerate(zip(preds, payload["truths"][h]))],
+            )
+            table = format_table(rows) + "\n" if options["table"] else ""
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise DataError(f"{path!r} is not a backtest report: {exc!r}") from None
+    out_table, out_pairs = out.with_suffix(".table.csv"), out.with_suffix(".pairs.csv")
+    return _emit(
+        "report", options,
+        {str(out_table): table_csv, str(out_pairs): pairs_csv},
+        f"{table}wrote {out_table} and {out_pairs}",
     )
-    if args.table:
-        print(format_table(table_rows))
-    print(f"wrote {out.with_suffix('.table.csv')} and {out.with_suffix('.pairs.csv')}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +349,15 @@ def _cmd_report(args) -> int:
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
+    """The returns CSV of a command that calibrates on it, and its grid."""
     p.add_argument("--input", required=True, help="CSV of returns or prices")
     p.add_argument("--returns-column", default="return")
     p.add_argument("--price-column", default="close")
-
-
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-config", default=None,
                    help="JSON file of calibration-grid settings")
     p.add_argument("--ga-grid-step", type=float, default=None,
                    help="override the (a1, b1) grid step")
+    p.set_defaults(grid=None)  # a replayed sidecar hands its grid over inline
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="fit one transform variant")
     _add_input_flags(p)
-    _add_grid_flags(p)
     p.add_argument("--variant", required=True, choices=[v.value for v in NovasVariant])
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--output", required=True)
@@ -427,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="h-step ensemble forecast")
     _add_input_flags(p)
-    _add_grid_flags(p)
     p.add_argument("--variant", required=True, choices=[v.value for v in NovasVariant])
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--horizon", type=int, required=True)
@@ -441,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("backtest", help="rolling pseudo-out-of-sample comparison")
     _add_input_flags(p)
-    _add_grid_flags(p)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--horizons", default="1,5,30")
     p.add_argument("--alpha-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
@@ -470,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _argv_from_sidecar(path: str) -> tuple[list[str], dict | None]:
-    """The command line a sidecar records, and its resolved calibration grid
-    (``None`` for commands without one), which is handed over inline."""
+    """The command line a sidecar records, each option turned into arguments
+    by its value's type, and its resolved calibration grid (``None`` for
+    commands without one), which is handed over inline."""
     with open(path) as fh:
         try:
             sidecar = json.load(fh)
@@ -479,22 +438,18 @@ def _argv_from_sidecar(path: str) -> tuple[list[str], dict | None]:
             options = sidecar["options"]
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{path!r} is not a novas sidecar: {exc!r}") from None
-    argv = [command]
-    skip = {"grid"}
-    flags_true = {"table", "scale_t_errors"}
+    argv, grid = [command], None
     for key, value in options.items():
-        if key in skip or value is None:
-            continue
         flag = "--" + key.replace("_", "-")
-        if key in flags_true:
-            if value:
-                argv.append(flag)
-            continue
-        if isinstance(value, list):
+        if isinstance(value, dict):
+            grid = value
+        elif value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
             argv += [flag, ",".join(str(v) for v in value)]
-        else:
+        elif value is not False and value is not None:
             argv += [flag, str(value)]
-    return argv, options.get("grid")
+    return argv, grid
 
 
 def main(argv=None) -> int:
@@ -508,7 +463,7 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 2
-        return args.func(args)
+        return args.func(_options(args))
     except NovasError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ from scipy.special import expit, logit
 
 from .errors import DataError, FitError
 from .innovations import Seed, substream
-from .predictor import ForecastResult, Risk, Statistic
+from .predictor import ForecastResult, Risk, Statistic, check_paths
 from .returns import ReturnSeries
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -265,8 +265,9 @@ def garch_bootstrap_forecast(
     of :func:`garch_bootstrap_paths`, reduced exactly as the transform
     predictor reduces its ensemble.
     """
-    if h < 1 or M < 1:
-        raise DataError("horizon and path count must be positive")
+    if h < 1:
+        raise DataError(f"horizon {h} must be >= 1")
+    check_paths(M)
     seed = Seed.of(seed)
     statistic = Statistic(statistic)
     paths = garch_bootstrap_paths(fit, substream(seed), M, h)

@@ -25,6 +25,14 @@ from .transform import CalibratedTransform
 MIN_PATHS = 100
 
 
+def check_paths(paths: int) -> None:
+    """Reject an ensemble too small for its forecast to mean anything."""
+    if paths < MIN_PATHS:
+        raise DataError(
+            f"ensemble of {paths} paths is below the meaningful minimum {MIN_PATHS}"
+        )
+
+
 class Risk(str, enum.Enum):
     L1 = "L1"
     L2 = "L2"
@@ -75,11 +83,7 @@ class ForecastRequest:
     def __post_init__(self):
         if self.horizon < 1:
             raise DataError(f"horizon {self.horizon} must be >= 1")
-        if self.paths < MIN_PATHS:
-            raise DataError(
-                f"ensemble of {self.paths} paths is below the meaningful "
-                f"minimum {MIN_PATHS}"
-            )
+        check_paths(self.paths)
         if not callable(self.statistic):
             try:
                 statistic = Statistic(self.statistic)

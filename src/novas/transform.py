@@ -35,7 +35,8 @@ window's lagged squared returns and the profiles, shared by every alpha; per
 (alpha, order), one vectorized scoring of ``scale * product + alpha * s2``
 (``scale`` is ``1 - alpha``, or 1 for GA's unnormalized profiles). The
 winning point is then re-evaluated through the plain
-:func:`forward_transform` path, which is what the returned transform reports. The variance path ``s2`` is not recomputed by either:
+:func:`forward_transform` path, which is what the returned transform
+reports. Neither the scan nor that path recomputes the variance path ``s2``:
 both read the one cached on the window's :class:`ReturnSeries`, so every
 variant, every alpha and every returned transform of a window share it.
 """
@@ -166,24 +167,6 @@ def _column_scores(
     out[ok] = np.abs(m4[ok] / (m2[ok] * m2[ok]) - 3.0)
     out[np.any(denom <= 0.0, axis=0)] = np.inf
     return out, mu
-
-
-class _WindowArrays:
-    """Per-window precomputation shared by every grid candidate."""
-
-    def __init__(self, y: ReturnSeries):
-        self.values = values = y.values
-        self.n = values.size
-        self.y2 = values * values
-        self.s2 = y.variance_path
-        self._lagmat: dict[int, np.ndarray] = {}
-
-    def lag_matrix(self, order: int) -> np.ndarray:
-        """Rows ``t = order..n-1`` of lagged squared returns, newest first."""
-        if order not in self._lagmat:
-            view = sliding_window_view(self.y2[: self.n - 1], order)[:, ::-1]
-            self._lagmat[order] = np.ascontiguousarray(view)
-        return self._lagmat[order]
 
 
 def ge_order_for(alpha: float, c: float, n: int, grid: CalibrationGrid):
@@ -357,9 +340,11 @@ def calibrate_many(
         raise CalibrationError(
             f"window of {len(y)} below the calibration minimum {grid.min_window}"
         )
-    arrays = _WindowArrays(y)
-    n = arrays.n
-    products: dict[int, np.ndarray] = {}  # order -> lag_matrix(order) @ unit
+    values, s2 = y.values, y.variance_path
+    n = values.size
+    y2 = values * values
+    # order -> (rows t = order..n-1 of lagged squared returns, newest first) @ unit
+    products: dict[int, np.ndarray] = {}
     out: dict[float, CalibratedTransform] = {}
     for alpha in alphas:
         table = _candidate_table(variant, alpha, n, grid)
@@ -371,12 +356,13 @@ def calibrate_many(
         mus = np.empty(len(table.points))
         for order, rows, columns, unit in table.groups:
             if order not in products:
-                products[order] = arrays.lag_matrix(order) @ unit
+                lagged = sliding_window_view(y2[: n - 1], order)[:, ::-1]
+                products[order] = np.ascontiguousarray(lagged) @ unit
             core = products[order][:, columns]
             core *= table.scale
-            core += (alpha * arrays.s2[order:n])[:, None]
+            core += (alpha * s2[order:n])[:, None]
             objs[rows], mus[rows] = _column_scores(
-                arrays.values[order:], core, table.eff[rows], table.mass[rows]
+                values[order:], core, table.eff[rows], table.mass[rows]
             )
         cands = [
             {"shape": shape, "order": order, "a0": a0, "objective": o, "mu": m}

@@ -31,7 +31,7 @@ from novas import (
 import novas.backtest
 from novas.backtest import KIND_TO_SOURCE, KINDS
 from novas.garch import garch_bootstrap_paths
-from novas.predictor import aggregated_squared, risk_point
+from novas.predictor import MIN_PATHS, aggregated_squared, risk_point
 from novas.simulate import ModelSpec
 from novas.weights import CalibrationGrid
 
@@ -98,6 +98,11 @@ class TestPreconditions:
     def test_insufficient_data(self, short_series):
         with pytest.raises(DataError, match="at least"):
             run_rolling_poos(short_series, small_config(window=89, horizons=(5,)))
+
+    def test_ensemble_below_minimum(self):
+        small_config(paths=MIN_PATHS)
+        with pytest.raises(DataError, match=f"minimum {MIN_PATHS}"):
+            small_config(paths=MIN_PATHS - 1)
 
 
 class TestCounts:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from novas import Seed, generate
-from novas.cli import main
+from novas.cli import _options, build_parser, main
 from novas.simulate import ModelSpec
 
 
@@ -152,6 +152,16 @@ class TestBacktest:
         assert err == ["error:input: threads must be at least 1, got 0"]
         assert not (tmp_path / "r.json").exists()
 
+    def test_unknown_variant_single_error_line(self, tmp_path, returns_csv, capsys):
+        args = self.backtest_args(returns_csv, tmp_path / "r.json")
+        args[args.index("--variants") + 1] = "GE,GX"
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:input:")
+        assert "'GX'" in err[0]
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestErrors:
     def test_unknown_flag_exits_nonzero_with_usage(self, capsys):
@@ -199,6 +209,27 @@ class TestErrors:
         assert len(err) == 1
         assert err[0].startswith("error:input:")
 
+    @pytest.mark.parametrize(
+        "content", ["not json", '{"table": []}', '{"table": [{"horizon": 1}]}'],
+        ids=["not-json", "empty-table", "missing-keys"],
+    )
+    def test_bad_report_input_single_error_line(self, tmp_path, capsys, content):
+        src = tmp_path / "report.json"
+        src.write_text(content)
+        assert run_cli(["report", "--input", src, "--output", tmp_path / "rendered"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:input:")
+        assert str(src) in err[0]
+        assert list(tmp_path.iterdir()) == [src]
+
+    def test_empty_variants_means_all(self):
+        args = build_parser().parse_args(
+            ["backtest", "--input", "r.csv", "--window", "60", "--variants", "",
+             "--output", "r.json"]
+        )
+        assert _options(args)["variants"] == ["GE", "GE_NO_A0", "GA", "GA_NO_A0"]
+
 
 class TestSimulateReplay:
     def test_simulate_replay(self, tmp_path):
@@ -209,3 +240,126 @@ class TestSimulateReplay:
         out.unlink()
         assert run_cli(["--from-sidecar", str(out) + ".sidecar.json"]) == 0
         assert out.read_bytes() == original
+
+
+# Each case: the command lines to run (the last one is replayed) and the
+# options its sidecar records. The literals pin the sidecar format, so that
+# sidecars written by earlier builds keep replaying.
+GRID = {"eps_guard": 1e-12, "ga_step": 0.02, "ge_c_count": 40, "ge_c_max": 5.0,
+        "ge_c_min": 0.005, "min_window": 50, "order_cap": 30, "order_cap_divisor": 5,
+        "order_max": 60, "tail_mass": 0.01}
+BACKTEST = ["backtest", "--input", "returns.csv", "--window", "60", "--horizons", "1,3",
+            "--alpha-grid", "0.5", "--variants", "GE_NO_A0", "--risk", "L2",
+            "--innovations", "mc", "--paths", "150", "--seed", "4", "--threads", "1",
+            "--table", "--output", "bt.json"]
+REPLAY_CASES = {
+    "simulate": (
+        [["simulate", "--model", "M7", "--n", "60", "--seed", "11", "--scale-t-errors",
+          "--output", "sim.csv"]],
+        {"burn_in": 500, "model": "M7", "n": 60, "output": "sim.csv",
+         "scale_t_errors": True, "seed": 11},
+    ),
+    "calibrate": (
+        [["calibrate", "--input", "returns.csv", "--variant", "GE", "--alpha", "0.5",
+          "--grid-config", "grid.json", "--output", "fit.json"]],
+        {"alpha": 0.5, "grid": {**GRID, "ga_step": 0.05, "ge_c_count": 10},
+         "input": "returns.csv", "output": "fit.json", "price_column": "close",
+         "returns_column": "return", "variant": "GE"},
+    ),
+    "forecast": (
+        [["forecast", "--input", "returns.csv", "--variant", "GA_NO_A0", "--alpha", "0.4",
+          "--horizon", "3", "--paths", "200", "--ga-grid-step", "0.05",
+          "--statistic", "step", "--seed", "2", "--output", "fc.json"]],
+        {"alpha": 0.4, "grid": {**GRID, "ga_step": 0.05}, "horizon": 3,
+         "innovations": "mc", "input": "returns.csv", "output": "fc.json", "paths": 200,
+         "price_column": "close", "returns_column": "return", "risk": "L2", "seed": 2,
+         "statistic": "step", "variant": "GA_NO_A0"},
+    ),
+    "backtest": (
+        [BACKTEST],
+        {"alpha_grid": [0.5], "grid": GRID, "horizons": [1, 3], "innovations": "mc",
+         "input": "returns.csv", "metric": "squared", "output": "bt.json", "paths": 150,
+         "price_column": "close", "returns_column": "return", "risk": "L2", "seed": 4,
+         "table": True, "threads": 1, "variants": ["GE_NO_A0"], "window": 60},
+    ),
+    "report": (
+        [BACKTEST, ["report", "--input", "bt.json", "--output", "rendered", "--table"]],
+        {"input": "bt.json", "output": "rendered", "table": True},
+    ),
+}
+
+# A calibrate sidecar recorded by an earlier build of the CLI, kept verbatim:
+# replaying it must rewrite it byte for byte.
+RECORDED_SIDECAR = """{
+  "command": "calibrate",
+  "options": {
+    "alpha": 0.5,
+    "grid": {
+      "eps_guard": 1e-12,
+      "ga_step": 0.05,
+      "ge_c_count": 10,
+      "ge_c_max": 5.0,
+      "ge_c_min": 0.005,
+      "min_window": 50,
+      "order_cap": 30,
+      "order_cap_divisor": 5,
+      "order_max": 60,
+      "tail_mass": 0.01
+    },
+    "input": "returns.csv",
+    "output": "fit.json",
+    "price_column": "close",
+    "returns_column": "return",
+    "variant": "GE"
+  },
+  "outputs": [
+    "fit.json"
+  ],
+  "tool": {
+    "name": "novas",
+    "version": "0.1.0"
+  }
+}
+"""
+
+
+@pytest.fixture()
+def in_tmp(tmp_path, monkeypatch):
+    """A working directory holding a returns CSV and a grid config."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["simulate", "--model", "M3", "--n", "90", "--seed", "21",
+                    "--output", "returns.csv"]) == 0
+    (tmp_path / "grid.json").write_text('{"ga_step": 0.05, "ge_c_count": 10}')
+    return tmp_path
+
+
+class TestReplay:
+    @pytest.mark.parametrize("command", sorted(REPLAY_CASES))
+    def test_replay_is_byte_identical(self, in_tmp, capsys, command):
+        commands, recorded = REPLAY_CASES[command]
+        for argv in commands[:-1]:
+            assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert run_cli(commands[-1]) == 0
+        stdout = capsys.readouterr().out
+        sidecar_path = in_tmp / (recorded["output"] + ".sidecar.json")
+        sidecar_text = sidecar_path.read_text()
+        sidecar = json.loads(sidecar_text)
+        assert sidecar["command"] == command
+        assert sidecar["options"] == recorded
+        first = {name: (in_tmp / name).read_bytes() for name in sidecar["outputs"]}
+        for name in first:
+            (in_tmp / name).unlink()
+        assert run_cli(["--from-sidecar", sidecar_path]) == 0
+        assert capsys.readouterr().out == stdout
+        assert {name: (in_tmp / name).read_bytes() for name in first} == first
+        assert sidecar_path.read_text() == sidecar_text
+
+    def test_recorded_sidecar_replays(self, in_tmp):
+        assert run_cli(REPLAY_CASES["calibrate"][0][0]) == 0
+        direct = (in_tmp / "fit.json").read_bytes()
+        (in_tmp / "fit.json").unlink()
+        (in_tmp / "fit.json.sidecar.json").write_text(RECORDED_SIDECAR)
+        assert run_cli(["--from-sidecar", "fit.json.sidecar.json"]) == 0
+        assert (in_tmp / "fit.json").read_bytes() == direct
+        assert (in_tmp / "fit.json.sidecar.json").read_text() == RECORDED_SIDECAR

@@ -17,6 +17,7 @@ from novas import (
 )
 import novas.garch as garch
 from novas.garch import _STARTS, garch_score
+from novas.predictor import MIN_PATHS
 from novas.simulate import ModelSpec
 
 from oracles import oracle_garch_loglik
@@ -287,6 +288,12 @@ class TestBootstrapForecast:
         fit = fit_garch11_mle(y)
         result = garch_bootstrap_forecast(fit, h=1, M=100000, risk=Risk.L2, seed=Seed(1))
         assert result.point == pytest.approx(float(fit.sigma2_path.mean()), rel=0.03)
+
+    def test_ensemble_below_minimum(self):
+        fit = GarchFit(GarchParams(1e-5, 0.05, 0.9), np.full(50, 4.0), 0.0)
+        garch_bootstrap_forecast(fit, 1, MIN_PATHS, Risk.L2, Seed(0))
+        with pytest.raises(DataError, match=f"minimum {MIN_PATHS}"):
+            garch_bootstrap_forecast(fit, 1, MIN_PATHS - 1, Risk.L2, Seed(0))
 
     def test_seed_determinism(self):
         y = generate(ModelSpec(model="M3", n=200, seed=Seed(4)))
