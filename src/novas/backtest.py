@@ -37,6 +37,7 @@ from .errors import CalibrationError, DataError, FitError
 from .garch import fit_garch11_mle, garch_bootstrap_paths, garch_direct_forecast
 from .innovations import Seed, SourceKind, substream
 from .predictor import (
+    Risk,
     aggregated_squared,
     check_paths,
     innovation_source,
@@ -110,6 +111,9 @@ class BacktestConfig:
             raise DataError(f"unknown metric {self.metric!r}")
         if any(k not in KINDS for k in self.kinds):
             raise DataError(f"kinds must be among {KINDS}")
+        risks = tuple(r.value for r in Risk)
+        if any(r not in risks for r in self.risks):
+            raise DataError(f"risks must be among {risks}")
         check_paths(self.paths)
         if self.threads is None:
             object.__setattr__(self, "threads", len(os.sched_getaffinity(0)))

@@ -135,13 +135,15 @@ def _load_returns(options: dict) -> ReturnSeries:
 
 
 def _grid_from_args(args) -> CalibrationGrid:
-    if args.grid is not None:  # inline from a replayed sidecar
-        grid = CalibrationGrid.from_dict(args.grid)
-    elif args.grid_config:
-        with open(args.grid_config) as fh:
-            grid = CalibrationGrid.from_dict(json.load(fh))
-    else:
-        grid = CalibrationGrid()
+    data, source = args.grid, args.from_sidecar  # inline from a replayed sidecar
+    try:
+        if data is None and args.grid_config:
+            source = args.grid_config
+            with open(source) as fh:
+                data = json.load(fh)
+        grid = CalibrationGrid() if data is None else CalibrationGrid.from_dict(data)
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{source!r} holds no valid calibration grid: {exc}") from None
     if args.ga_grid_step:
         grid = CalibrationGrid(**{**grid.to_dict(), "ga_step": args.ga_grid_step})
     return grid
@@ -438,6 +440,8 @@ def _argv_from_sidecar(path: str) -> tuple[list[str], dict | None]:
             options = sidecar["options"]
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{path!r} is not a novas sidecar: {exc!r}") from None
+    if not isinstance(options, dict):
+        raise DataError(f"{path!r} is not a novas sidecar: its options are not an object")
     argv, grid = [command], None
     for key, value in options.items():
         flag = "--" + key.replace("_", "-")
@@ -457,9 +461,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.from_sidecar:
-            replay, grid = _argv_from_sidecar(args.from_sidecar)
+            sidecar = args.from_sidecar
+            replay, grid = _argv_from_sidecar(sidecar)
             args = parser.parse_args(replay)
-            args.grid = grid
+            args.grid, args.from_sidecar = grid, sidecar
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 2

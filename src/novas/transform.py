@@ -27,18 +27,18 @@ the window's residuals therefore multiplies the lag part of the mean by
 without bound in the mean. For the a0-free variants ``mu = E[W^2] * sum(lags)``.
 
 Calibration has two parts. A cached candidate table per (variant, alpha,
-window length, grid) holds what does not depend on the data: each feasible
-point's shape, order, ``eff``, lag mass, ``a0`` and lag profile. Every
-variant-specific rule lives there, and :func:`feasible_alphas` reads it too.
-One scan then serves every variant: per lag order, one matrix product of the
-window's lagged squared returns and the profiles, shared by every alpha; per
-(alpha, order), one vectorized scoring of ``scale * product + alpha * s2``
-(``scale`` is ``1 - alpha``, or 1 for GA's unnormalized profiles). The
-winning point is then re-evaluated through the plain
-:func:`forward_transform` path, which is what the returned transform
-reports. Neither the scan nor that path recomputes the variance path ``s2``:
-both read the one cached on the window's :class:`ReturnSeries`, so every
-variant, every alpha and every returned transform of a window share it.
+window length, grid) holds what does not depend on the data: the weight sets
+:func:`~novas.weights.build_weights` admits on the grid, which alone decides
+admissibility; :func:`feasible_alphas` reads it too. One scan then serves
+every variant: per lag order, one matrix product of the window's lagged
+squared returns and the grid's :func:`~novas.weights.lag_profile` columns,
+shared by every alpha; per (alpha, order), one vectorized scoring of
+``scale * product + alpha * s2``, where ``scale`` (``1 - alpha``, or 1 for
+GA's raw profiles) turns the columns into the weight sets' lags. The winning
+weight set is evaluated through the plain :func:`forward_transform` path,
+which is what the returned transform reports. Neither the scan nor that path
+recomputes the variance path ``s2``: every variant, alpha and returned
+transform of a window reads the one cached on its :class:`ReturnSeries`.
 """
 
 from __future__ import annotations
@@ -55,17 +55,16 @@ from .errors import (
     CalibrationError,
     DataError,
     DegenerateWindowError,
+    InfeasibleWeightsError,
     TrimBoundError,
 )
 from .returns import ReturnSeries, sample_kurtosis
 from .weights import (
-    A0_MAX,
     CalibrationGrid,
     NovasVariant,
     NovasWeights,
     build_weights,
-    exponential_profile,
-    geometric_profile,
+    lag_profile,
 )
 
 
@@ -73,12 +72,19 @@ from .weights import (
 class CalibratedTransform:
     """A variant's fitted weights plus the studentized residuals they imply."""
 
-    variant: NovasVariant
     weights: NovasWeights
     residuals: np.ndarray
     history: ReturnSeries
-    s2_n: float
     objective: float
+
+    @property
+    def variant(self) -> NovasVariant:
+        return self.weights.variant
+
+    @property
+    def s2_n(self) -> float:
+        """The variance estimate at the end of the history."""
+        return float(self.history.variance_path[-1])
 
     def __post_init__(self):
         residuals = np.asarray(self.residuals, dtype=float)
@@ -169,23 +175,26 @@ def _column_scores(
     return out, mu
 
 
-def ge_order_for(alpha: float, c: float, n: int, grid: CalibrationGrid):
-    """Adaptive lag count for a GE grid point, order-doubled while the
-    implied ``a0`` exceeds its admissibility bound.
+def _admitted(variant: NovasVariant, alpha: float, shape: tuple, order: int):
+    """The weight set :func:`build_weights` admits at this point, or None."""
+    try:
+        return build_weights(variant, alpha, shape, order)
+    except InfeasibleWeightsError:
+        return None
 
-    Returns ``(order, feasible)``; infeasible points are dropped by the
-    caller rather than escalated past ``order_max``.
+
+def ge_order_for(alpha: float, c: float, n: int, grid: CalibrationGrid):
+    """Adaptive lag count for a GE grid point, doubled while
+    :func:`build_weights` rejects the point, up to ``order_max``.
+
+    Returns ``(order, weights)``; ``weights`` is None when even the capped
+    order is rejected, and the caller drops the point.
     """
-    p = grid.adaptive_ge_order(c, n)
     cap = max(1, min(grid.order_max, n - 3))
-    p = min(p, cap)
-    while True:
-        a0 = (1.0 - alpha) / exponential_profile(c, p, include_zero=True).sum()
-        if a0 <= A0_MAX:
-            return p, True
-        if p >= cap:
-            return p, False
+    p = min(grid.adaptive_ge_order(c, n), cap)
+    while (weights := _admitted(NovasVariant.GE, alpha, (c,), p)) is None and p < cap:
         p = min(2 * p, cap)
+    return p, weights
 
 
 def _grid_shapes(variant: NovasVariant, grid: CalibrationGrid) -> list[tuple]:
@@ -200,36 +209,25 @@ def _grid_shapes(variant: NovasVariant, grid: CalibrationGrid) -> list[tuple]:
 
 @functools.lru_cache(maxsize=128)
 def _unit_columns(variant: NovasVariant, order: int, grid: CalibrationGrid):
-    """Every grid shape's lag profile at ``order``, one matrix column each in
-    grid order, and each profile's weight on the contemporaneous term (GE
-    only). Profiles have unit mass, to be scaled by ``1 - alpha``, except
-    GA's raw ``a1 * b1**(i-1)``."""
-    cols = []
-    for shape in _grid_shapes(variant, grid):
-        if variant.exponential_family:
-            prof = exponential_profile(shape[0], order, variant.keeps_a0)
-            cols.append(prof / prof.sum())
-        elif variant is NovasVariant.GA:
-            cols.append(geometric_profile(*shape, order))
-        else:
-            b1 = shape[1]
-            cols.append(geometric_profile((1.0 - b1) / (1.0 - b1**order), b1, order))
-    lags = np.column_stack(cols)
-    heads = np.zeros(lags.shape[1])
+    """Every grid shape's :func:`lag_profile` at ``order`` without GE's
+    contemporaneous term, one matrix column each in grid order."""
+    cols = np.column_stack(
+        [lag_profile(variant, shape, order) for shape in _grid_shapes(variant, grid)]
+    )
     if variant is NovasVariant.GE:
-        heads, lags = lags[0], lags[1:]
-    lags.flags.writeable = heads.flags.writeable = False
-    return lags, heads
+        cols = cols[1:]
+    cols.flags.writeable = False
+    return cols
 
 
 class _CandidateTable(NamedTuple):
-    """The feasible points of one (variant, alpha, window length, grid) in grid
-    order: ``(shape, order, a0)``, contemporaneous weight and lag mass, and one
-    ``(order, rows, columns, unit)`` group per lag order, ``columns`` indexing
-    the points' profiles in that order's :func:`_unit_columns` matrix."""
+    """The admitted weight sets of one (variant, alpha, window length, grid)
+    in grid order, their ``eff`` and lag mass, and one ``(order, rows,
+    columns, unit)`` group per lag order, ``columns`` indexing the points'
+    profiles in that order's :func:`_unit_columns` matrix."""
 
     scale: float
-    points: tuple[tuple[tuple, int, float], ...]
+    weights: tuple[NovasWeights, ...]
     eff: np.ndarray
     mass: np.ndarray
     groups: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
@@ -239,52 +237,40 @@ class _CandidateTable(NamedTuple):
 def _candidate_table(
     variant: NovasVariant, alpha: float, n: int, grid: CalibrationGrid
 ) -> _CandidateTable:
-    """Everything about one variant's grid that does not depend on the data,
-    and the only place where the variants differ.
+    """Every weight set :func:`build_weights` admits on one variant's grid:
+    all that calibration needs that does not depend on the data.
 
-    GE escalates each decay rate's order through :func:`ge_order_for` and
-    drops the rates it cannot rescue; GA keeps the ``(a1, b1)`` points whose
-    solved intercept budget is admissible; the a0-free variants keep every
-    point. Cached, so a run decides feasibility once and every window reuses it.
+    The variants differ here only in each point's lag order: GE escalates it
+    through :func:`ge_order_for`, GE_NO_A0 uses the adaptive order and the
+    GA family the capped one. Cached, so a run decides feasibility once and
+    every window reuses it.
     """
     shapes = _grid_shapes(variant, grid)
-    if not shapes:
-        return _CandidateTable(1.0, (), np.empty(0), np.empty(0), ())
+    cap = max(1, n - 3)
     if variant is NovasVariant.GE:
-        fits = [ge_order_for(alpha, c, n, grid) for (c,) in shapes]
-        orders = np.array([order if feasible else 0 for order, feasible in fits])
+        fits = [ge_order_for(alpha, c, n, grid)[1] for (c,) in shapes]
     elif variant is NovasVariant.GE_NO_A0:
-        cap = max(1, n - 3)
-        orders = np.array([min(grid.adaptive_ge_order(c, n), cap) for (c,) in shapes])
-    else:
-        orders = np.full(len(shapes), min(grid.order_cap_for(n), max(1, n - 3)))
-    if variant is NovasVariant.GA:
-        a1, b1 = np.array(shapes).T
-        mass = _unit_columns(variant, int(orders[0]), grid)[0].sum(axis=0)
-        eff = 1.0 - alpha - mass  # the solved a0 / (1 - b1)
-        a0 = eff * (1.0 - b1)
-        orders[~((eff >= 0.0) & (eff <= A0_MAX) & (eff >= a1))] = 0
-        scale = 1.0
-    else:
-        heads = [
-            _unit_columns(variant, int(p), grid)[1][j] if p else 0.0
-            for j, p in enumerate(orders)
+        fits = [
+            _admitted(variant, alpha, (c,), min(grid.adaptive_ge_order(c, n), cap))
+            for (c,) in shapes
         ]
-        scale = 1.0 - alpha
-        eff = a0 = scale * np.array(heads)
-        mass = 1.0 - alpha - eff
-
-    keep = np.flatnonzero(orders)
+    else:
+        order = min(grid.order_cap_for(n), cap)
+        fits = [_admitted(variant, alpha, shape, order) for shape in shapes]
+    keep = np.array([j for j, w in enumerate(fits) if w is not None], dtype=int)
+    weights = tuple(fits[j] for j in keep)
+    orders = np.array([w.order for w in weights], dtype=int)
     groups = []
-    for order in np.unique(orders[keep]).tolist():
-        rows = np.flatnonzero(orders[keep] == order)
+    for order in np.unique(orders).tolist():
+        rows = np.flatnonzero(orders == order)
         columns = keep[rows]
         rows.flags.writeable = columns.flags.writeable = False
-        groups.append((order, rows, columns, _unit_columns(variant, order, grid)[0]))
-    eff, mass = eff[keep], mass[keep]
+        groups.append((order, rows, columns, _unit_columns(variant, order, grid)))
+    eff = np.array([w.y2_self_coef for w in weights])
+    mass = np.array([float(w.lags.sum()) for w in weights])
     eff.flags.writeable = mass.flags.writeable = False
-    points = tuple((shapes[j], int(orders[j]), float(a0[j])) for j in keep)
-    return _CandidateTable(scale, points, eff, mass, tuple(groups))
+    scale = 1.0 if variant is NovasVariant.GA else 1.0 - alpha
+    return _CandidateTable(scale, weights, eff, mass, tuple(groups))
 
 
 def feasible_alphas(
@@ -299,28 +285,27 @@ def feasible_alphas(
     return [
         alpha
         for alpha in alphas
-        if _candidate_table(variant, alpha, window_len, grid).points
+        if _candidate_table(variant, alpha, window_len, grid).weights
     ]
 
 
-def _select(cands: list[dict]) -> dict:
+def _select(weights: tuple[NovasWeights, ...], objs: list, mus: list) -> NovasWeights:
     """Deterministic choice: the kurtosis-closest point with ``mu < 1``, else
     the point of smallest ``mu``; ties go to smaller order, then smaller a0,
     then grid position."""
-    usable = [j for j, c in enumerate(cands) if math.isfinite(c["objective"])]
+    usable = [j for j, o in enumerate(objs) if math.isfinite(o)]
     if not usable:
         raise CalibrationError(
             "every feasible grid point produced degenerate residuals"
         )
-    stable = [j for j in usable if cands[j]["mu"] < 1.0]
+    stable = [j for j in usable if mus[j] < 1.0]
 
     def tie_break(j):
-        c = cands[j]
-        return (c["objective"], c["order"], c["a0"], j)
+        return (objs[j], weights[j].order, weights[j].a0, j)
 
     if stable:
-        return cands[min(stable, key=tie_break)]
-    return cands[min(usable, key=lambda j: (cands[j]["mu"], *tie_break(j)))]
+        return weights[min(stable, key=tie_break)]
+    return weights[min(usable, key=lambda j: (mus[j], *tie_break(j)))]
 
 
 def calibrate_many(
@@ -348,12 +333,12 @@ def calibrate_many(
     out: dict[float, CalibratedTransform] = {}
     for alpha in alphas:
         table = _candidate_table(variant, alpha, n, grid)
-        if not table.points:
+        if not table.weights:
             raise CalibrationError(
                 f"no feasible grid point for {variant.value} at alpha={alpha}"
             )
-        objs = np.empty(len(table.points))
-        mus = np.empty(len(table.points))
+        objs = np.empty(len(table.weights))
+        mus = np.empty(len(table.weights))
         for order, rows, columns, unit in table.groups:
             if order not in products:
                 lagged = sliding_window_view(y2[: n - 1], order)[:, ::-1]
@@ -364,29 +349,15 @@ def calibrate_many(
             objs[rows], mus[rows] = _column_scores(
                 values[order:], core, table.eff[rows], table.mass[rows]
             )
-        cands = [
-            {"shape": shape, "order": order, "a0": a0, "objective": o, "mu": m}
-            for (shape, order, a0), o, m in zip(
-                table.points, objs.tolist(), mus.tolist()
-            )
-        ]
-        out[alpha] = _finish(variant, alpha, y, _select(cands), grid)
+        out[alpha] = _finish(y, _select(table.weights, objs.tolist(), mus.tolist()))
     return out
 
 
-def _finish(
-    variant: NovasVariant,
-    alpha: float,
-    y: ReturnSeries,
-    chosen: dict,
-    grid: CalibrationGrid,
-) -> CalibratedTransform:
-    """Re-evaluate the winning grid point through the plain transform path."""
-    weights = build_weights(variant, alpha, chosen["shape"], chosen["order"])
+def _finish(y: ReturnSeries, weights: NovasWeights) -> CalibratedTransform:
+    """Evaluate the winning weight set through the plain transform path."""
     residuals = forward_transform(y, weights)
     objective = abs(sample_kurtosis(residuals) - 3.0)
-    s2_n = float(y.variance_path[-1])
-    return CalibratedTransform(variant, weights, residuals, y, s2_n, objective)
+    return CalibratedTransform(weights, residuals, y, objective)
 
 
 def calibrate(

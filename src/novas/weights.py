@@ -3,17 +3,19 @@
 A weight set assigns mass 1 across the terms of the studentizing
 denominator: ``alpha`` on the recursive variance estimate, ``a0`` on the
 contemporaneous squared return (dropped by the ``*_NO_A0`` variants), and a
-decaying lag profile on past squared returns. The exponential family (GE)
-gets ``a_i ~ exp(-c*i)``; the GARCH-derived family (GA) gets the geometric
-profile ``a1 * b1**(i-1)`` with the intercept weight solved exactly from the
-mass constraint.
+decaying lag profile on past squared returns. :func:`lag_profile` defines the
+four profiles, and :func:`build_weights` scales a unit-mass profile by
+``1 - alpha`` only after normalizing it, so the weights it returns are
+exactly the ones calibration scores. GA keeps its raw profile
+``a1 * b1**(i-1)`` and solves its intercept weight exactly from the mass
+constraint.
 
 Admissibility: the effective weight on the contemporaneous squared return
 (``a0`` for GE, ``a0/(1-b1)`` for GA) caps the attainable range of the
 studentized residuals at ``1/sqrt(eff)``. Keeping that range at least 3
-standard deviations requires ``eff <= 1/9``, which is enforced here for both
-families (for GA this is stricter than the raw ``a0 <= 1/9`` and is what
-guarantees a usable truncation range for normal innovations).
+standard deviations requires ``eff <= 1/9``; GA also needs ``eff >= a1``, its
+largest lag weight. Both are compared exactly, also when GA's solved ``a0``
+is 0, and :func:`build_weights` is the only code that judges them.
 
 Calibration adds a data-dependent preference on top of these bounds: among
 the admissible grid points it keeps those whose lag multiplier
@@ -47,10 +49,6 @@ class NovasVariant(str, enum.Enum):
     @property
     def exponential_family(self) -> bool:
         return self in (NovasVariant.GE, NovasVariant.GE_NO_A0)
-
-    @property
-    def garch_family(self) -> bool:
-        return self in (NovasVariant.GA, NovasVariant.GA_NO_A0)
 
     @property
     def keeps_a0(self) -> bool:
@@ -106,28 +104,23 @@ class NovasWeights:
         """Enforce the prediction-pipeline admissibility constraints.
 
         A weight set can be algebraically valid (mass 1, nonnegative) yet
-        unusable for Monte-Carlo prediction: an intercept weight above 1/9
-        trims the innovation range below 3 standard deviations, and a GA
-        profile whose lag head exceeds the effective intercept weight breaks
-        the dominance requirement. Raises naming the violated constraint.
+        unusable for Monte-Carlo prediction: an effective contemporaneous
+        weight above 1/9 trims the innovation range below 3 standard
+        deviations, and a GA profile whose lag head exceeds that weight breaks
+        the dominance requirement. Both are compared exactly. Raises naming
+        the violated constraint.
         """
-        if self.a0 > 0.0:
-            if self.a0 > A0_MAX:
-                raise InfeasibleWeightsError(
-                    "a0_bound", f"a0={self.a0:.6f} exceeds {A0_MAX:.6f}"
-                )
-            if self.y2_self_coef > A0_MAX + SUM_TOL:
+        if self.variant.keeps_a0:
+            eff = self.y2_self_coef
+            if eff > A0_MAX:
                 raise InfeasibleWeightsError(
                     "a0_bound",
-                    f"effective contemporaneous weight {self.y2_self_coef:.6f} "
-                    f"exceeds {A0_MAX:.6f}",
+                    f"effective contemporaneous weight {eff:.6f} exceeds {A0_MAX:.6f}",
                 )
-            if self.variant.garch_family and self.y2_self_coef < float(
-                self.lags.max()
-            ) - SUM_TOL:
+            if self.variant is NovasVariant.GA and eff < float(self.lags.max()):
                 raise InfeasibleWeightsError(
                     "dominance",
-                    f"a0/(1-b1)={self.y2_self_coef:.6f} below the largest lag "
+                    f"a0/(1-b1)={eff:.6f} below the largest lag "
                     f"coefficient {float(self.lags.max()):.6f}",
                 )
         return self
@@ -135,9 +128,7 @@ class NovasWeights:
     @property
     def y2_self_coef(self) -> float:
         """Effective weight on the contemporaneous squared return."""
-        if self.a0 == 0.0:
-            return 0.0
-        if self.variant.garch_family:
+        if self.variant is NovasVariant.GA:
             return self.a0 / (1.0 - self.shape[1])
         return self.a0
 
@@ -158,14 +149,18 @@ class NovasWeights:
         }
 
 
-def exponential_profile(c: float, order: int, include_zero: bool) -> np.ndarray:
-    """Unnormalized weights ``exp(-c*i)`` for ``i = 0..order`` or ``1..order``."""
-    start = 0 if include_zero else 1
-    return np.exp(-c * np.arange(start, order + 1, dtype=float))
-
-
-def geometric_profile(a1: float, b1: float, order: int) -> np.ndarray:
-    """Truncated GARCH-implied lag weights ``a1 * b1**(i-1)``, ``i = 1..order``."""
+def lag_profile(variant: NovasVariant, shape: tuple, order: int) -> np.ndarray:
+    """The lag profile of one grid point: ``exp(-c*i)`` at unit mass for the
+    GE family (``i = 0..order`` for GE, contemporaneous term first;
+    ``1..order`` for GE_NO_A0), ``b1**(i-1)`` at unit mass for GA_NO_A0, and
+    GA's raw ``a1 * b1**(i-1)``, ``i = 1..order``."""
+    if variant.exponential_family:
+        start = 0 if variant.keeps_a0 else 1
+        profile = np.exp(-shape[0] * np.arange(start, order + 1, dtype=float))
+        return profile / profile.sum()
+    a1, b1 = shape
+    if variant is NovasVariant.GA_NO_A0:
+        a1 = (1.0 - b1) / (1.0 - b1**order)
     return a1 * b1 ** np.arange(0, order, dtype=float)
 
 
@@ -178,14 +173,12 @@ def build_weights(
 ) -> NovasWeights:
     """Construct the weight set for one grid point.
 
-    GE family: ``shape`` is the decay rate ``c >= 0``; weights are the
-    normalized exponential profile (over ``i = 0..p`` for GE, ``1..p``
-    without the intercept term).
-
-    GA family: ``shape = (a1, b1)`` with ``b1 in (0, 1)``. For GA the
-    intercept weight is solved exactly from the mass constraint,
-    ``a0 = (1 - alpha - sum(lags)) * (1 - b1)``; for GA_NO_A0 the profile
-    scale ``a1`` is renormalized so ``alpha + sum(lags) = 1`` holds exactly.
+    GE family: ``shape`` is the decay rate ``c >= 0``. GA family:
+    ``shape = (a1, b1)`` with ``b1 in (0, 1)``. Every variant but GA scales
+    its unit :func:`lag_profile` by ``1 - alpha`` (GA_NO_A0 records the
+    resulting profile scale as its ``a1``). GA keeps its raw profile and
+    solves the intercept weight exactly from the mass constraint,
+    ``a0 = (1 - alpha - sum(lags)) * (1 - b1)``.
 
     Raises :class:`InfeasibleWeightsError` naming the violated constraint
     (negative solved ``a0``, trimming bound, GA dominance). Pass
@@ -201,36 +194,30 @@ def build_weights(
         c = float(shape[0]) if isinstance(shape, (tuple, list, np.ndarray)) else float(shape)
         if c < 0.0:
             raise InfeasibleWeightsError("shape", f"decay rate c={c} must be >= 0")
-        if variant is NovasVariant.GE:
-            profile = exponential_profile(c, order, include_zero=True)
-            weights = (1.0 - alpha) / profile.sum() * profile
-            a0, lags = float(weights[0]), weights[1:]
-        else:
-            profile = exponential_profile(c, order, include_zero=False)
-            weights = (1.0 - alpha) / profile.sum() * profile
-            a0, lags = 0.0, weights
-        built = NovasWeights(variant, alpha, a0, lags, order, (c,))
-        return built.check_admissible() if enforce_admissible else built
+        shape = (c,)
+    else:
+        shape = a1, b1 = float(shape[0]), float(shape[1])
+        if not 0.0 < b1 < 1.0:
+            raise InfeasibleWeightsError("shape", f"b1={b1} must be in (0,1)")
+        if a1 <= 0.0:
+            raise InfeasibleWeightsError("shape", f"a1={a1} must be > 0")
+    profile = lag_profile(variant, shape, order)
 
-    a1, b1 = float(shape[0]), float(shape[1])
-    if not 0.0 < b1 < 1.0:
-        raise InfeasibleWeightsError("shape", f"b1={b1} must be in (0,1)")
-    if a1 <= 0.0:
-        raise InfeasibleWeightsError("shape", f"a1={a1} must be > 0")
-    if variant is NovasVariant.GA_NO_A0:
-        a1 = (1.0 - alpha) * (1.0 - b1) / (1.0 - b1**order)
-        lags = geometric_profile(a1, b1, order)
-        return NovasWeights(variant, alpha, 0.0, lags, order, (a1, b1))
-    lags = geometric_profile(a1, b1, order)
-    budget = 1.0 - alpha - float(lags.sum())
-    if budget < 0.0:
-        raise InfeasibleWeightsError(
-            "negative_a0",
-            f"lag mass {float(lags.sum()):.6f} exceeds 1 - alpha = {1.0 - alpha:.6f} "
-            "(negative solved a0)",
-        )
-    a0 = budget * (1.0 - b1)
-    built = NovasWeights(variant, alpha, a0, lags, order, (a1, b1))
+    if variant is NovasVariant.GA:
+        budget = 1.0 - alpha - float(profile.sum())
+        if budget < 0.0:
+            raise InfeasibleWeightsError(
+                "negative_a0",
+                f"lag mass {float(profile.sum()):.6f} exceeds 1 - alpha = "
+                f"{1.0 - alpha:.6f} (negative solved a0)",
+            )
+        a0, lags = budget * (1.0 - b1), profile
+    else:
+        weights = (1.0 - alpha) * profile
+        a0, lags = (float(weights[0]), weights[1:]) if variant.keeps_a0 else (0.0, weights)
+        if variant is NovasVariant.GA_NO_A0:
+            shape = (float(lags[0]), b1)
+    built = NovasWeights(variant, alpha, a0, lags, order, shape)
     return built.check_admissible() if enforce_admissible else built
 
 

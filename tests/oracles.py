@@ -93,6 +93,15 @@ def _ge_adaptive_order(c, n, grid):
     return max(1, min(p, cap))
 
 
+def oracle_ga_budget(alpha, a1, b1, order):
+    """GA's solved intercept budget ``a0/(1-b1) = 1 - alpha - sum(lags)`` at
+    ``order`` lags, and whether it is admissible: ``0 <= budget <= 1/9`` and
+    ``budget >= a1``, compared exactly."""
+    lags = [a1 * b1 ** (i - 1) for i in range(1, order + 1)]
+    budget = 1.0 - alpha - sum(lags)
+    return budget, 0.0 <= budget <= A0_LIMIT and budget >= a1
+
+
 def oracle_candidates(variant, alpha, values, grid):
     """Exhaustive enumeration of the variant's feasible grid.
 
@@ -139,10 +148,10 @@ def oracle_candidates(variant, alpha, values, grid):
         for a1 in grid.ga_values():
             for b1 in grid.ga_values():
                 a1, b1 = float(a1), float(b1)
-                lags = [a1 * b1 ** (i - 1) for i in range(1, q + 1)]
-                budget = 1.0 - alpha - sum(lags)
-                if not (0.0 <= budget <= A0_LIMIT and budget >= a1):
+                budget, admissible = oracle_ga_budget(alpha, a1, b1, q)
+                if not admissible:
                     continue
+                lags = [a1 * b1 ** (i - 1) for i in range(1, q + 1)]
                 a0 = budget * (1.0 - b1)
                 cands.append(
                     ((a1, b1), q, a0, *_scores(values, alpha, budget, lags, prefix_vars))

@@ -104,6 +104,10 @@ class TestPreconditions:
         with pytest.raises(DataError, match=f"minimum {MIN_PATHS}"):
             small_config(paths=MIN_PATHS - 1)
 
+    def test_unknown_risk(self):
+        with pytest.raises(DataError, match="risks must be among"):
+            small_config(risks=("L3",))
+
 
 class TestCounts:
     def test_prediction_count_arithmetic(self):

@@ -198,8 +198,11 @@ class TestErrors:
         assert run_cli([]) == 2
         assert "usage" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [None, "not json", '{"options": {}}'],
-                             ids=["missing", "not-json", "no-command"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, "not json", '{"options": {}}', '{"command": "simulate", "options": []}'],
+        ids=["missing", "not-json", "no-command", "options-not-object"],
+    )
     def test_bad_sidecar_single_error_line(self, tmp_path, capsys, content):
         sidecar = tmp_path / "nope.sidecar.json"
         if content is not None:
@@ -208,6 +211,31 @@ class TestErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:input:")
+
+    @pytest.mark.parametrize(
+        "source, grid",
+        [("grid-config", '{"ga_stp": 0.05}'), ("grid-config", "not json"),
+         ("sidecar", '{"ga_stp": 0.05}')],
+        ids=["unknown-key", "not-json", "sidecar-unknown-key"],
+    )
+    def test_bad_grid_single_error_line(self, tmp_path, returns_csv, capsys, source, grid):
+        path = tmp_path / "grid.json"
+        if source == "grid-config":
+            path.write_text(grid)
+            args = ["calibrate", "--input", returns_csv, "--variant", "GE",
+                    "--alpha", "0.5", "--grid-config", path,
+                    "--output", tmp_path / "x.json"]
+        else:  # the inline grid of a hand-edited sidecar
+            options = {"input": str(returns_csv), "variant": "GE", "alpha": 0.5,
+                       "output": str(tmp_path / "x.json"), "grid": json.loads(grid)}
+            path.write_text(json.dumps({"command": "calibrate", "options": options}))
+            args = ["--from-sidecar", path]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:input:")
+        assert str(path) in err[0]
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize(
         "content", ["not json", '{"table": []}', '{"table": [{"horizon": 1}]}'],

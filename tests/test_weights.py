@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from novas import A0_MAX, InfeasibleWeightsError, NovasVariant, build_weights
 from novas.weights import CalibrationGrid
 
+from oracles import oracle_ga_budget
+
 
 def weight_mass(w):
     return w.y2_self_coef + w.alpha + float(w.lags.sum())
@@ -69,6 +71,39 @@ class TestGaFamily:
         with pytest.raises(InfeasibleWeightsError) as err:
             build_weights(NovasVariant.GA, 0.85, (0.1, 0.2), 2)
         assert err.value.reason == "dominance"
+
+    def test_zero_solved_a0_still_checked(self):
+        # lag mass 0.4 * 1.25 leaves a solved a0 of exactly 0, below the
+        # lag head 0.4
+        with pytest.raises(InfeasibleWeightsError) as err:
+            build_weights(NovasVariant.GA, 0.5, (0.4, 0.2), 30)
+        assert err.value.reason == "dominance"
+
+    def test_effective_weight_bound_is_exact(self):
+        # the solved a0/(1-b1) exceeds 1/9 by 1e-13: its trim bound is
+        # 2.99999999999880, below the 3 the bound guarantees
+        with pytest.raises(InfeasibleWeightsError) as err:
+            build_weights(NovasVariant.GA, 0.8, (0.08, 0.1), 12)
+        assert err.value.reason == "a0_bound"
+        w = build_weights(NovasVariant.GA, 0.8, (0.08, 0.1), 12, enforce_admissible=False)
+        assert w.trim_bound < 3.0
+
+    @pytest.mark.parametrize("order", [12, 30])
+    @pytest.mark.parametrize("ga_step", [0.05, 0.02])
+    def test_admissibility_matches_oracle_on_grid(self, ga_step, order):
+        vals = [float(v) for v in CalibrationGrid(ga_step=ga_step).ga_values()]
+        disagree = []
+        for alpha in (k / 10 for k in range(1, 10)):
+            for a1 in vals:
+                for b1 in vals:
+                    try:
+                        build_weights(NovasVariant.GA, alpha, (a1, b1), order)
+                        admitted = True
+                    except InfeasibleWeightsError:
+                        admitted = False
+                    if admitted != oracle_ga_budget(alpha, a1, b1, order)[1]:
+                        disagree.append((alpha, a1, b1))
+        assert not disagree, disagree[:5]
 
     def test_no_a0_renormalizes_scale(self):
         w = build_weights(NovasVariant.GA_NO_A0, 0.4, (0.77, 0.9), 25)
