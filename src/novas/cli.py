@@ -363,15 +363,17 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviated flags: a replayed sidecar key must name its flag exactly
     parser = argparse.ArgumentParser(
         prog="novas",
         description="Model-free volatility forecasting and backtesting",
+        allow_abbrev=False,
     )
     parser.add_argument("--from-sidecar", default=None,
                         help="replay a previous run from its sidecar JSON")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("simulate", help="generate synthetic returns")
+    p = sub.add_parser("simulate", allow_abbrev=False, help="generate synthetic returns")
     p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--burn-in", type=int, default=500)
@@ -380,14 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("calibrate", help="fit one transform variant")
+    p = sub.add_parser("calibrate", allow_abbrev=False, help="fit one transform variant")
     _add_input_flags(p)
     p.add_argument("--variant", required=True, choices=[v.value for v in NovasVariant])
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("forecast", help="h-step ensemble forecast")
+    p = sub.add_parser("forecast", allow_abbrev=False, help="h-step ensemble forecast")
     _add_input_flags(p)
     p.add_argument("--variant", required=True, choices=[v.value for v in NovasVariant])
     p.add_argument("--alpha", type=float, required=True)
@@ -400,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_forecast)
 
-    p = sub.add_parser("backtest", help="rolling pseudo-out-of-sample comparison")
+    p = sub.add_parser("backtest", allow_abbrev=False,
+                       help="rolling pseudo-out-of-sample comparison")
     _add_input_flags(p)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--horizons", default="1,5,30")
@@ -420,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="report JSON path")
     p.set_defaults(func=_cmd_backtest)
 
-    p = sub.add_parser("report", help="render tables and prediction/truth pairs")
+    p = sub.add_parser("report", allow_abbrev=False,
+                       help="render tables and prediction/truth pairs")
     p.add_argument("--input", required=True, help="backtest report JSON")
     p.add_argument("--output", required=True, help="output path stem")
     p.add_argument("--table", action="store_true")

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataError, TrimBoundError
 from .innovations import InnovationSource, Seed, SourceKind, substream
 from .returns import welford_update
-from .transform import CalibratedTransform
+from .transform import TRIM_GUARD, CalibratedTransform
 
 MIN_PATHS = 100
 
@@ -134,7 +134,6 @@ def simulate_paths(
     ct: CalibratedTransform,
     innovations: np.ndarray,
     freeze_variance: bool = False,
-    eps: float = 1e-12,
 ) -> np.ndarray:
     """Push an ``(M, h)`` innovation matrix through the inverse transform.
 
@@ -163,10 +162,10 @@ def simulate_paths(
         wk = innovations[:, k]
         core = lag2 @ w.lags + w.alpha * s2
         guard = 1.0 - eff * (wk * wk)
-        if np.any(guard <= eps):
+        if np.any(guard <= TRIM_GUARD):
             worst = float(wk[np.argmin(guard)])
             raise TrimBoundError(
-                f"inverse denominator <= {eps} at step {k + 1}; innovation "
+                f"inverse denominator <= {TRIM_GUARD} at step {k + 1}; innovation "
                 f"{worst!r} was not trimmed to the bound {w.trim_bound!r}"
             )
         y2_next = (wk * wk) * core / guard

@@ -1,18 +1,21 @@
 """Synthetic return generators: eight conditional-heteroskedasticity data
 models (two time-varying GARCH, two standard GARCH, a Student-t GARCH, an
-EGARCH, and two GJR specifications), plus a CUSTOM escape hatch.
+EGARCH, and two GJR specifications).
 
-Each generator is a pure function of its innovation sequence; ``generate``
-draws the innovations from the seeded stream, runs the recursion through a
-burn-in, and returns exactly ``n`` observations. Time-varying coefficients
-are driven by ``g = t/n`` over the delivered index, frozen at ``g = 1/n``
-during burn-in.
+Seven of them are one GJR-type recursion, ``gjr_recursion``: GARCH(1,1) is
+the case ``gamma1 = 0``, and the time-varying models M1 and M2 pass one
+coefficient per step. ``_GJR_MODELS`` holds their coefficients; M6 runs
+``egarch_recursion``. ``generate`` draws the innovations from the seeded
+stream, runs the recursion through a burn-in, and returns exactly ``n``
+observations. Time-varying coefficients are driven by ``g = t/n`` over the
+delivered index, frozen at ``g = 1/n`` during burn-in (``step_g``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -35,57 +38,40 @@ class ModelSpec:
     burn_in: int = 500
     seed: Seed = field(default_factory=Seed)
     scale_t_errors: bool = False
-    params: dict | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "seed", Seed.of(self.seed))
-        if self.model not in MODELS and self.model != "CUSTOM":
-            raise DataError(f"unknown model {self.model!r} (expected M1..M8 or CUSTOM)")
-        if self.model == "CUSTOM" and not self.params:
-            raise DataError("CUSTOM model needs a params mapping")
+        if self.model not in MODELS:
+            raise DataError(f"unknown model {self.model!r} (expected M1..M8)")
         if self.n < 1 or self.burn_in < 0:
             raise DataError("n must be >= 1 and burn_in >= 0")
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["seed"] = self.seed.value
-        return out
 
-
-def garch_recursion(
-    eps: np.ndarray, omega: float, alpha1: float, beta1: float, sigma2_init: float
+def gjr_recursion(
+    eps: np.ndarray, omega, alpha1, beta1, gamma1, sigma2_init: float
 ) -> np.ndarray:
     """``X_t = sigma_t * eps_t`` with ``sigma2_t = omega + beta1*sigma2_{t-1}
-    + alpha1*X_{t-1}^2``."""
-    x = np.empty(eps.size)
-    sig2 = sigma2_init
-    for t in range(eps.size):
-        if t > 0:
-            sig2 = omega + beta1 * sig2 + alpha1 * x[t - 1] ** 2
-        x[t] = math.sqrt(sig2) * eps[t]
-    return x
+    + (alpha1 + gamma1*I_{t-1})*X_{t-1}^2`` and ``I_t = 1`` iff ``X_t <= 0``.
 
-
-def tv_garch_recursion(
-    eps: np.ndarray,
-    omega_fn,
-    alpha_fn,
-    beta_fn,
-    n_delivered: int,
-    burn_in: int,
-    sigma2_init: float,
-) -> np.ndarray:
-    """Time-varying GARCH; coefficient functions take ``g = t/n`` of the
-    delivered index and are held at ``g = 1/n`` through the burn-in."""
-    x = np.empty(eps.size)
+    Each coefficient is a number or an iterable of one value per step; step
+    ``t``'s value enters ``sigma2_t``, so step 0's is never read.
+    GARCH(1,1) is ``gamma1 = 0``.
+    """
+    steps = [
+        repeat(c) if isinstance(c, (int, float)) else islice(c, 1, None)
+        for c in (omega, alpha1, beta1, gamma1)
+    ]
+    e = eps.tolist()
     sig2 = sigma2_init
-    g0 = 1.0 / n_delivered
-    for t in range(eps.size):
-        g = g0 if t < burn_in else (t - burn_in + 1) / n_delivered
-        if t > 0:
-            sig2 = omega_fn(g) + beta_fn(g) * sig2 + alpha_fn(g) * x[t - 1] ** 2
-        x[t] = math.sqrt(sig2) * eps[t]
-    return x
+    prev = math.sqrt(sig2) * e[0]
+    x = [prev]
+    for eps_t, w, a, b, g in zip(e[1:], *steps):
+        # ``prev**2`` is libm's pow, which can round apart from ``prev * prev``;
+        # the pinned output digests record pow
+        sig2 = w + b * sig2 + (a + (g if prev <= 0.0 else 0.0)) * prev**2
+        prev = math.sqrt(sig2) * eps_t
+        x.append(prev)
+    return np.array(x)
 
 
 def egarch_recursion(
@@ -98,37 +84,24 @@ def egarch_recursion(
 ) -> np.ndarray:
     """``log(sigma2_t) = omega + beta1*log(sigma2_{t-1}) + theta*eps_{t-1}
     + gamma*(|eps_{t-1}| - E|eps|)``."""
-    x = np.empty(eps.size)
+    e = eps.tolist()
     log_sig2 = log_sigma2_init
-    for t in range(eps.size):
-        if t > 0:
-            log_sig2 = (
-                omega
-                + beta1 * log_sig2
-                + theta * eps[t - 1]
-                + gamma * (abs(eps[t - 1]) - _MEAN_ABS_NORMAL)
-            )
-        x[t] = math.exp(0.5 * log_sig2) * eps[t]
-    return x
+    x = [math.exp(0.5 * log_sig2) * e[0]]
+    for prev, eps_t in zip(e, e[1:]):
+        log_sig2 = (
+            omega
+            + beta1 * log_sig2
+            + theta * prev
+            + gamma * (abs(prev) - _MEAN_ABS_NORMAL)
+        )
+        x.append(math.exp(0.5 * log_sig2) * eps_t)
+    return np.array(x)
 
 
-def gjr_recursion(
-    eps: np.ndarray,
-    omega: float,
-    alpha1: float,
-    beta1: float,
-    gamma1: float,
-    sigma2_init: float,
-) -> np.ndarray:
-    """GJR leverage recursion with indicator ``I_t = 1`` iff ``X_t <= 0``."""
-    x = np.empty(eps.size)
-    sig2 = sigma2_init
-    for t in range(eps.size):
-        if t > 0:
-            leverage = gamma1 if x[t - 1] <= 0.0 else 0.0
-            sig2 = omega + beta1 * sig2 + (alpha1 + leverage) * x[t - 1] ** 2
-        x[t] = math.sqrt(sig2) * eps[t]
-    return x
+def step_g(n: int, burn_in: int) -> list[float]:
+    """Each step's ``g``: ``1/n`` through the burn-in, then ``t/n`` for the
+    delivered ``t = 1..n``."""
+    return [1.0 / n] * burn_in + [t / n for t in range(1, n + 1)]
 
 
 # coefficient functions of the two time-varying models, exposed for tests
@@ -152,69 +125,39 @@ def m2_beta(g: float) -> float:
     return 0.73 + 0.2 * g
 
 
+# (omega, alpha1, beta1, gamma1, sigma2_init) of every model but M6; a
+# callable coefficient is evaluated at each step's g
+_GJR_MODELS = {
+    "M1": (m1_omega, m1_alpha, m1_beta, 0.0, 1e-4),
+    "M2": (1e-5, m2_alpha, m2_beta, 0.0, 1e-4),
+    "M3": (1e-5, 0.1, 0.73, 0.0, 1e-5 / 0.17),
+    "M4": (1e-5, 0.1, 0.8895, 0.0, 1e-5 / 0.0105),
+    "M5": (1e-5, 0.1, 0.73, 0.0, 1e-5 / 0.17),
+    "M7": (1e-5, 0.5, 0.5, -0.5, 1e-5 / 0.25),
+    "M8": (1e-5, 0.1, 0.73, 0.3, 1e-5 / 0.02),
+}
+
+
 def _draw_errors(spec: ModelSpec, count: int) -> np.ndarray:
     gen = substream(spec.seed)
-    error = "student_t" if spec.model == "M5" else "gaussian"
+    if spec.model != "M5":
+        return gen.standard_normal(count)
     df = 5.0
-    if spec.model == "CUSTOM":
-        error = spec.params.get("error", "gaussian")
-        df = float(spec.params.get("df", 5.0))
-    if error == "student_t":
-        eps = gen.standard_t(df, size=count)
-        if spec.scale_t_errors:
-            eps = eps * math.sqrt((df - 2.0) / df)
-        return eps
-    return gen.standard_normal(count)
+    eps = gen.standard_t(df, size=count)
+    if spec.scale_t_errors:
+        eps = eps * math.sqrt((df - 2.0) / df)
+    return eps
 
 
 def generate(spec: ModelSpec) -> ReturnSeries:
     """Simulate the spec's model, discard burn-in, return ``n`` observations."""
-    total = spec.burn_in + spec.n
-    eps = _draw_errors(spec, total)
-
-    if spec.model == "M1":
-        x = tv_garch_recursion(
-            eps, m1_omega, m1_alpha, m1_beta, spec.n, spec.burn_in, 1e-4
-        )
-    elif spec.model == "M2":
-        x = tv_garch_recursion(
-            eps, lambda g: 1e-5, m2_alpha, m2_beta, spec.n, spec.burn_in, 1e-4
-        )
-    elif spec.model in ("M3", "M5"):
-        x = garch_recursion(eps, 1e-5, 0.1, 0.73, 1e-5 / 0.17)
-    elif spec.model == "M4":
-        x = garch_recursion(eps, 1e-5, 0.1, 0.8895, 1e-5 / 0.0105)
-    elif spec.model == "M6":
+    eps = _draw_errors(spec, spec.burn_in + spec.n)
+    if spec.model == "M6":
         x = egarch_recursion(eps, 1e-5, 0.8895, 0.1, 0.3, 1e-5 / 0.1105)
-    elif spec.model == "M7":
-        x = gjr_recursion(eps, 1e-5, 0.5, 0.5, -0.5, 1e-5 / 0.25)
-    elif spec.model == "M8":
-        x = gjr_recursion(eps, 1e-5, 0.1, 0.73, 0.3, 1e-5 / 0.02)
     else:
-        x = _generate_custom(spec, eps)
+        *coefs, sigma2_init = _GJR_MODELS[spec.model]
+        if any(map(callable, coefs)):
+            g = step_g(spec.n, spec.burn_in)
+            coefs = [map(c, g) if callable(c) else c for c in coefs]
+        x = gjr_recursion(eps, *coefs, sigma2_init)
     return ReturnSeries(x[spec.burn_in :])
-
-
-def _generate_custom(spec: ModelSpec, eps: np.ndarray) -> np.ndarray:
-    p = dict(spec.params)
-    kind = p.get("kind", "garch")
-    omega = float(p.get("omega", 1e-5))
-    alpha1 = float(p.get("alpha1", 0.1))
-    beta1 = float(p.get("beta1", 0.8))
-    sigma2_init = float(p.get("sigma2_init", 1e-4))
-    if kind == "garch":
-        return garch_recursion(eps, omega, alpha1, beta1, sigma2_init)
-    if kind == "egarch":
-        return egarch_recursion(
-            eps,
-            omega,
-            beta1,
-            float(p.get("theta", 0.0)),
-            float(p.get("gamma1", 0.0)),
-            math.log(sigma2_init),
-        )
-    if kind == "gjr":
-        return gjr_recursion(
-            eps, omega, alpha1, beta1, float(p.get("gamma1", 0.0)), sigma2_init
-        )
-    raise DataError(f"unknown custom model kind {kind!r}")

@@ -67,6 +67,11 @@ from .weights import (
     lag_profile,
 )
 
+# the inverse transform refuses a denominator ``1 - eff * W^2`` at or below
+# this: innovations are pre-trimmed to the weight set's bound, so reaching
+# it signals a sampler bug
+TRIM_GUARD = 1e-12
+
 
 @dataclass(frozen=True)
 class CalibratedTransform:
@@ -118,15 +123,12 @@ def forward_transform(y: ReturnSeries, w: NovasWeights) -> np.ndarray:
     return values[k:] / np.sqrt(denom)
 
 
-def inverse_step(
-    w_next: float, lagged_y2, s2: float, w: NovasWeights, eps: float = 1e-12
-) -> float:
+def inverse_step(w_next: float, lagged_y2, s2: float, w: NovasWeights) -> float:
     """One inverse-transform step: the next absolute return.
 
     ``lagged_y2`` holds the most recent ``order`` squared returns, newest
     first. Raises :class:`TrimBoundError` if ``1 - eff * w_next^2`` falls at
-    or below ``eps``: innovations must be pre-trimmed to the weight set's
-    bound, so reaching the guard signals a sampler bug.
+    or below :data:`TRIM_GUARD`.
     """
     lagged_y2 = np.asarray(lagged_y2, dtype=float)
     if lagged_y2.size < w.order:
@@ -136,9 +138,9 @@ def inverse_step(
     core = w.alpha * s2 + float(np.dot(w.lags, lagged_y2[: w.order]))
     w2 = w_next * w_next
     guard = 1.0 - w.y2_self_coef * w2
-    if guard <= eps:
+    if guard <= TRIM_GUARD:
         raise TrimBoundError(
-            f"inverse denominator {guard!r} <= {eps}; innovation {w_next!r} "
+            f"inverse denominator {guard!r} <= {TRIM_GUARD}; innovation {w_next!r} "
             f"was not trimmed to the bound {w.trim_bound!r}"
         )
     return math.sqrt(w2 * core / guard)

@@ -237,6 +237,8 @@ class CalibrationGrid:
     order_cap_divisor: int = 5
     order_max: int = 60
     tail_mass: float = 0.01
+    # recorded in grid files and sidecars but not read: the inverse
+    # transform's guard is the constant ``transform.TRIM_GUARD``
     eps_guard: float = 1e-12
     min_window: int = 50
 

@@ -171,7 +171,7 @@ class TestErrors:
         assert "usage" in capsys.readouterr().err
 
     def test_custom_model_not_offered(self, tmp_path, capsys):
-        # CUSTOM needs a params mapping, which the command line cannot pass
+        # the data models are M1..M8; CUSTOM is not one of them
         with pytest.raises(SystemExit) as exc:
             run_cli(["simulate", "--model", "CUSTOM", "--n", "30",
                      "--output", tmp_path / "c.csv"])
@@ -211,6 +211,26 @@ class TestErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:input:")
+
+    @pytest.mark.parametrize(
+        "recorded",
+        [{"alpha": [0.5], "horizon": [1, 3]}, {"grid": "not json"}],
+        ids=["alpha-horizon", "grid-string"],
+    )
+    def test_sidecar_key_not_read_as_abbreviation(self, tmp_path, returns_csv, capsys,
+                                                  recorded):
+        # each key is a prefix of one flag (--alpha-grid, --horizons, --grid-config)
+        out = tmp_path / "bt.json"
+        options = {"input": str(returns_csv), "window": 60, "variants": ["GE_NO_A0"],
+                   "risk": "L2", "innovations": "mc", "paths": 150, "seed": 4,
+                   "threads": 1, "output": str(out), **recorded}
+        sidecar = tmp_path / "bt.json.sidecar.json"
+        sidecar.write_text(json.dumps({"command": "backtest", "options": options}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--from-sidecar", sidecar])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "source, grid",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,17 +6,31 @@ import pytest
 
 from novas import DataError, Seed, generate, sample_kurtosis
 from novas.simulate import (
+    MODELS,
     ModelSpec,
     egarch_recursion,
-    garch_recursion,
     gjr_recursion,
     m1_alpha,
     m1_beta,
     m1_omega,
     m2_alpha,
     m2_beta,
-    tv_garch_recursion,
+    step_g,
 )
+
+# first 16 hex digits of the SHA-256 over generate's float64 bytes at seed 3,
+# (n, burn_in) in PINNED_SHAPES, as (scale_t_errors off, on)
+PINNED_SHAPES = ((1, 0), (1, 500), (280, 500), (20000, 0))
+PINNED = {
+    "M1": ("376530be6853ca13", "376530be6853ca13"),
+    "M2": ("2994d2ba0779385c", "2994d2ba0779385c"),
+    "M3": ("52840c8821284e42", "52840c8821284e42"),
+    "M4": ("026bd5008fa87e7b", "026bd5008fa87e7b"),
+    "M5": ("9da0d2dc496ec70c", "10202e78d345f820"),
+    "M6": ("4c54a4d9fb24075f", "4c54a4d9fb24075f"),
+    "M7": ("9235efe9807ff6f0", "9235efe9807ff6f0"),
+    "M8": ("16eaf6ff67809bdc", "16eaf6ff67809bdc"),
+}
 
 
 class TestSpec:
@@ -23,7 +38,7 @@ class TestSpec:
         with pytest.raises(DataError):
             ModelSpec(model="M9")
 
-    def test_custom_needs_params(self):
+    def test_custom_is_unknown_model(self):
         with pytest.raises(DataError):
             ModelSpec(model="CUSTOM")
 
@@ -38,6 +53,16 @@ class TestSpec:
             np.testing.assert_array_equal(a.values, b.values)
             c = generate(ModelSpec(model=model, n=100, seed=Seed(10)))
             assert not np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize("scale", [False, True])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_output_pinned(self, model, scale):
+        digest = hashlib.sha256()
+        for n, burn_in in PINNED_SHAPES:
+            spec = ModelSpec(model=model, n=n, burn_in=burn_in, seed=Seed(3),
+                             scale_t_errors=scale)
+            digest.update(generate(spec).values.tobytes())
+        assert digest.hexdigest()[:16] == PINNED[model][scale]
 
 
 class TestCoefficients:
@@ -55,25 +80,18 @@ class TestCoefficients:
         assert betas.min() >= 0.2 and betas.max() <= 0.4
 
     def test_time_varying_span(self):
-        # delivered coefficients sweep g over (0, 1]
-        calls = []
-        tv_garch_recursion(
-            np.zeros(8),
-            lambda g: calls.append(g) or 1.0,
-            lambda g: 0.0,
-            lambda g: 0.0,
-            n_delivered=4,
-            burn_in=4,
-            sigma2_init=1.0,
-        )
-        assert calls[-1] == pytest.approx(1.0)
-        assert min(calls) > 0.0
+        # delivered coefficients sweep g over (0, 1], held at 1/n in burn-in
+        g = step_g(n=4, burn_in=4)
+        assert g == [0.25] * 4 + [0.25, 0.5, 0.75, 1.0]
+        assert g[-1] == pytest.approx(1.0)
+        assert min(g) > 0.0
 
 
 class TestRecursions:
     def test_garch_recursion_step(self):
         eps = np.array([1.0, -2.0, 0.5])
-        x = garch_recursion(eps, omega=1e-5, alpha1=0.1, beta1=0.73, sigma2_init=4e-4)
+        x = gjr_recursion(eps, omega=1e-5, alpha1=0.1, beta1=0.73, gamma1=0.0,
+                          sigma2_init=4e-4)
         sig2_1 = 4e-4
         assert x[0] == pytest.approx(math.sqrt(sig2_1) * 1.0)
         sig2_2 = 1e-5 + 0.73 * sig2_1 + 0.1 * x[0] ** 2
@@ -82,8 +100,16 @@ class TestRecursions:
     def test_gjr_indicator_all_positive_behaves_as_garch(self):
         eps = np.abs(np.random.default_rng(0).normal(size=300)) + 0.01
         gjr = gjr_recursion(eps, 1e-5, 0.5, 0.5, -0.5, 4e-5)
-        plain = garch_recursion(eps, 1e-5, 0.5, 0.5, 4e-5)
+        plain = gjr_recursion(eps, 1e-5, 0.5, 0.5, 0.0, 4e-5)
         np.testing.assert_allclose(gjr, plain, rtol=1e-12)
+
+    def test_per_step_coefficients_match_scalars(self):
+        eps = np.random.default_rng(1).normal(size=50)
+        steps = np.ones(eps.size)
+        scalar = gjr_recursion(eps, 1e-5, 0.1, 0.73, 0.3, 5e-4)
+        per_step = gjr_recursion(eps, 1e-5 * steps, 0.1 * steps, 0.73 * steps,
+                                 [0.3] * eps.size, 5e-4)
+        np.testing.assert_array_equal(per_step, scalar)
 
     def test_gjr_indicator_activates_on_negative(self):
         eps = np.array([1.0, -1.0, 1.0])
@@ -135,24 +161,3 @@ class TestDistributionalChecks:
             series = generate(ModelSpec(model=model, n=5000, seed=Seed(1)))
             assert np.all(np.isfinite(series.values))
 
-
-class TestCustom:
-    def test_custom_garch(self):
-        spec = ModelSpec(
-            model="CUSTOM",
-            n=200,
-            seed=Seed(4),
-            params={"kind": "garch", "omega": 1e-5, "alpha1": 0.1, "beta1": 0.73,
-                    "sigma2_init": 1e-5 / 0.17},
-        )
-        reference = generate(ModelSpec(model="M3", n=200, seed=Seed(4)))
-        np.testing.assert_array_equal(generate(spec).values, reference.values)
-
-    def test_custom_student_errors(self):
-        spec = ModelSpec(
-            model="CUSTOM",
-            n=200,
-            seed=Seed(4),
-            params={"kind": "garch", "error": "student_t", "df": 4.0},
-        )
-        assert len(generate(spec)) == 200
