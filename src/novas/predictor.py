@@ -3,10 +3,14 @@
 The library's one ensemble path, taken by :func:`predict` and every backtest
 window: ``M`` innovation vectors of length ``h`` go through the inverse
 transform (:func:`simulate_paths`), each pseudo-return feeding back into the
-lag window and (by default) the recursive variance. A per-path statistic,
-such as the running means of squares from :func:`aggregated_squared`, is
-reduced by :func:`risk_point`, as are the GARCH bootstrap's paths: the
-ensemble mean under L2 risk, the ensemble median under L1.
+lag window and (by default) the recursive variance. Every lag profile is
+geometric, so a path's lag window is one running sum, O(1) state per path
+whatever the lag order. The ensemble comes back as the ``(M, h)`` transpose
+of a step-major ``(h, M)`` array: each step's values are contiguous. A
+per-path statistic, such as the running means of squares from
+:func:`aggregated_squared`, is reduced by :func:`risk_point`, as are the
+GARCH bootstrap's paths: the ensemble mean under L2 risk, the ensemble
+median under L1.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ def aggregated_squared(paths: np.ndarray) -> np.ndarray:
     running = paths * paths
     for k in range(1, running.shape[1]):
         # np.cumsum(axis=1)'s sums in its order, a column at a time: cumsum
-        # loops over the short rows, several times slower at large M
+        # loops over the short rows, several times slower at large M. The
+        # square keeps its input's layout, so on a step-major ensemble from
+        # simulate_paths each column is contiguous
         running[:, k] += running[:, k - 1]
     running /= np.arange(1, running.shape[1] + 1)
     return running
@@ -143,42 +149,72 @@ def simulate_paths(
     (:func:`~novas.returns.welford_update`) unless frozen at its
     end-of-history value ``ct.s2_n``. Pure: identical inputs give identical
     paths.
+
+    The lag profile is geometric, ``l_{i+1} = r l_i`` with ``r`` the weight
+    set's :attr:`~novas.weights.NovasWeights.ratio`, so each path carries
+    its lag window as one running sum ``L = sum_i l_i y_{k-i}^2``, updated
+    as ``L' = l_1 y_k^2 + r (L - l_p y_{k-p}^2)``: O(1) state per path
+    whatever the order ``p``. The dropped ``y_{k-p}^2`` is a history value
+    for the first ``p`` steps and a row of the output buffer after that. The
+    trim guard and ``W^2 / (1 - eff W^2)`` are computed once for the whole
+    matrix before the recursion; :class:`~novas.errors.TrimBoundError` names
+    the first step that holds an untrimmed innovation.
+
+    Returns the ``(M, h)`` ensemble as the transpose of one step-major
+    ``(h, M)`` array, so each step's values (a column) are contiguous.
     """
     innovations = np.atleast_2d(np.asarray(innovations, dtype=float))
     m, h = innovations.shape
     w = ct.weights
-    eff = w.y2_self_coef
+    p = w.order
+    head, tail, r = w.lags[0], w.lags[-1], w.ratio
     history = ct.history.values
     n = history.size
+    hist2 = history[-p:] ** 2
 
-    lag2 = np.tile(history[-w.order :][::-1] ** 2, (m, 1))
-    count = n
-    mean = np.full(m, history.mean())
-    m2 = np.full(m, ct.s2_n * n)
-    s2 = np.full(m, ct.s2_n)
-
-    paths = np.empty((m, h))
-    for k in range(h):
-        wk = innovations[:, k]
-        core = lag2 @ w.lags + w.alpha * s2
-        guard = 1.0 - eff * (wk * wk)
-        if np.any(guard <= TRIM_GUARD):
-            worst = float(wk[np.argmin(guard)])
+    # the one (h, M) buffer: row k holds W^2 / (1 - eff W^2) until step k
+    # turns it into y_k^2, which row k + p still reads; signed roots last
+    wt = innovations.T
+    paths = np.multiply(wt, wt, out=np.empty((h, m)))
+    eff = w.y2_self_coef
+    if eff:
+        paths *= -eff
+        paths += 1.0
+        if paths.min() <= TRIM_GUARD:
+            k = int(np.argmax((paths <= TRIM_GUARD).any(axis=1)))
+            worst = float(wt[k, np.argmin(paths[k])])
             raise TrimBoundError(
                 f"inverse denominator <= {TRIM_GUARD} at step {k + 1}; innovation "
                 f"{worst!r} was not trimmed to the bound {w.trim_bound!r}"
             )
-        y2_next = (wk * wk) * core / guard
-        y_next = np.sign(wk) * np.sqrt(y2_next)
-        paths[:, k] = y_next
-        if w.order > 1:
-            lag2[:, 1:] = lag2[:, :-1]
-        lag2[:, 0] = y2_next
+        np.divide(wt, paths, out=paths)
+        paths *= wt
+
+    lag_sum = np.full(m, float(hist2[::-1] @ w.lags))
+    count = n
+    mean = np.full(m, history.mean())
+    m2 = np.full(m, ct.s2_n * n)
+    s2 = np.full(m, ct.s2_n)
+    core = np.empty(m)
+    tmp = np.empty(m)
+    for k in range(h):
+        yk2 = paths[k]
+        np.multiply(s2, w.alpha, out=core)
+        core += lag_sum
+        yk2 *= core
+        if k < p:
+            lag_sum -= tail * hist2[k]
+        else:
+            lag_sum -= np.multiply(paths[k - p], tail, out=tmp)
+        lag_sum *= r
+        lag_sum += np.multiply(yk2, head, out=tmp)
         if not freeze_variance:
+            np.copysign(np.sqrt(yk2, out=tmp), wt[k], out=tmp)
             count += 1
-            mean, m2 = welford_update(count, mean, m2, y_next)
-            s2 = m2 / count
-    return paths
+            mean, m2 = welford_update(count, mean, m2, tmp)
+            np.divide(m2, count, out=s2)
+    np.copysign(np.sqrt(paths, out=paths), wt, out=paths)
+    return paths.T
 
 
 def simulate_path(ct: CalibratedTransform, innovations) -> np.ndarray:
@@ -216,8 +252,11 @@ def predict(
     stepwise = None
     if req.statistic is Statistic.AGGREGATED_SQUARED:
         # aggregate of per-step L1 predictors, the alternative reading of
-        # the time-aggregated L1 target; reported alongside, never the point
-        stepwise = float(np.mean(np.median(paths * paths, axis=0)))
+        # the time-aggregated L1 target; reported alongside, never the point.
+        # Squares are taken step-major (a contiguous row per step) into a
+        # scratch array the median may reorder in place
+        steps = np.square(paths.T)
+        stepwise = float(np.mean(np.median(steps, axis=1, overwrite_input=True)))
 
     result = ForecastResult.of_ensemble(
         stats,

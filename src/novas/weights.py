@@ -133,6 +133,14 @@ class NovasWeights:
         return self.a0
 
     @property
+    def ratio(self) -> float:
+        """Common ratio of the geometric lag profile, ``lags[i+1] / lags[i]``:
+        ``exp(-c)`` for the GE family, ``b1`` for the GA family."""
+        if self.variant.exponential_family:
+            return math.exp(-self.shape[0])
+        return self.shape[1]
+
+    @property
     def trim_bound(self) -> float:
         """Hard bound ``|W| <= 1/sqrt(eff)`` implied by the forward transform."""
         eff = self.y2_self_coef

@@ -1,19 +1,25 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from novas import (
+    CalibratedTransform,
     DataError,
     ForecastRequest,
+    InfeasibleWeightsError,
     InnovationSource,
     NovasVariant,
     Risk,
     Seed,
     SourceKind,
     Statistic,
+    TrimBoundError,
+    build_weights,
     calibrate,
     forecast_json,
+    forward_transform,
     generate,
     innovation_source,
     inverse_step,
@@ -24,7 +30,7 @@ from novas import (
 from novas.returns import variance_path
 from novas.simulate import ModelSpec
 
-from oracles import oracle_welford_variance_path
+from oracles import oracle_simulate_path, oracle_welford_variance_path
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +98,53 @@ class TestSimulatePath:
         live = simulate_paths(ct, innovations)[0]
         frozen = simulate_paths(ct, innovations, freeze_variance=True)[0]
         assert not np.allclose(live, frozen)
+
+
+def weights_of_order(variant, order):
+    """The first weight set :func:`build_weights` admits at ``order`` on a
+    small scan of alphas and shapes."""
+    if variant.exponential_family:
+        shapes = [(c,) for c in (0.0, 0.1, 0.5)]
+    else:
+        shapes = [(a1, b1) for a1 in (0.02, 0.05, 0.08) for b1 in (0.3, 0.6, 0.9)]
+    for alpha in (0.5, 0.7, 0.8, 0.85):
+        for shape in shapes:
+            try:
+                return build_weights(variant, alpha, shape, order)
+            except InfeasibleWeightsError:
+                pass
+    raise AssertionError(f"no {variant.value} weight set of order {order}")
+
+
+class TestSimulateOracle:
+    # h = 12 steps: order 1 drops each step's predecessor, order 5 drops
+    # history and then path values, order 30 drops history values only
+    @pytest.mark.parametrize("freeze", [False, True], ids=["live", "frozen"])
+    @pytest.mark.parametrize("order", [1, 5, 30])
+    @pytest.mark.parametrize("variant", list(NovasVariant), ids=lambda v: v.value)
+    def test_matches_plain_loop(self, variant, order, freeze):
+        y = generate(ModelSpec(model="M3", n=300, seed=Seed(17)))
+        w = weights_of_order(variant, order)
+        ct = CalibratedTransform(w, forward_transform(y, w), y, 0.0)
+        bound = 0.8 * w.trim_bound
+        draws = np.clip(np.random.default_rng(order).normal(size=(4, 12)), -bound, bound)
+        paths = simulate_paths(ct, draws, freeze_variance=freeze)
+        for m in range(4):
+            expected = oracle_simulate_path(
+                y.values, draws[m], w.alpha, w.y2_self_coef, w.lags, freeze
+            )
+            np.testing.assert_allclose(paths[m], expected, rtol=1e-12, atol=0)
+
+    def test_untrimmed_innovation_names_its_step(self, fitted):
+        ct = fitted["GA"]
+        bound = ct.weights.trim_bound
+        draws = np.full((5, 6), 0.5)
+        draws[1, 3] = 1.2 * bound
+        draws[2, 3] = -1.5 * bound
+        draws[0, 5] = 2.0 * bound
+        worst = float(draws[2, 3])
+        with pytest.raises(TrimBoundError, match=re.escape(f"at step 4; innovation {worst!r} ")):
+            simulate_paths(ct, draws)
 
 
 class TestPredict:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novas import A0_MAX, InfeasibleWeightsError, NovasVariant, build_weights
+from novas.transform import _candidate_table
 from novas.weights import CalibrationGrid
 
 from oracles import oracle_ga_budget
@@ -197,3 +198,15 @@ class TestCalibrationGrid:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             CalibrationGrid.from_dict({"nope": 1})
+
+
+@pytest.mark.parametrize("variant", list(NovasVariant), ids=lambda v: v.value)
+def test_admitted_profiles_are_geometric(variant):
+    # simulate_paths carries each path's lag window as one running sum that
+    # it scales by ``ratio`` every step: a profile that is not geometric
+    # must fail here rather than be simulated wrongly
+    grid = CalibrationGrid()
+    for alpha in (k / 10 for k in range(1, 9)):
+        for w in _candidate_table(variant, alpha, 250, grid).weights:
+            expected = w.lags[0] * w.ratio ** np.arange(w.order)
+            np.testing.assert_allclose(w.lags, expected, rtol=1e-12, atol=0)
