@@ -15,8 +15,8 @@ method drawn at its largest horizon, whose running means serve every horizon.
 
 Windows are independent, so they run in a pool of forked worker processes
 (``BacktestConfig.threads`` of them, by default one per usable CPU). Fork
-hands each worker the imported numpy/scipy and the window inputs without a
-fresh import; because each window draws only from its own substreams, the
+hands each worker the imported numpy and the window inputs without a fresh
+import; because each window draws only from its own substreams, the
 predictions are byte-identical at every worker count. Fork copies only the
 calling thread, so a caller that runs threads of its own which may hold
 locks (a logging handler, a server loop) should pass ``threads=1``.

@@ -6,19 +6,30 @@ reparameterization (log intercept; persistence and its ARCH share through
 logistic maps), which keeps every iterate inside the stationarity region and
 copes with the likelihood ridge along ``alpha1 + beta1 ~ 1``. Starts are
 variance-targeted: each candidate's intercept matches the sample variance at
-its persistence, and the best of the five runs wins.
+its persistence. Two more runs probe the persistence bound, and the best of
+the seven wins.
 
-Each run is a bounded quasi-Newton search (SLSQP) on the exact score
-(Bollerslev 1986; Fiorentini, Calzolari & Panattoni 1996). The variance
-sensitivities obey the recursion of the variance itself,
+Each run is a Newton search on the exact score and Hessian (Bollerslev 1986;
+Fiorentini, Calzolari & Panattoni 1996). The variance sensitivities obey the
+recursion of the variance itself,
 ``d sigma2_t = (1, Y_{t-1}^2, sigma2_{t-1}) + beta1 * d sigma2_{t-1}`` in
-``(omega, alpha1, beta1)`` with ``d sigma2_1 = 0``, so one more linear filter
-over three rows gives all three; the chain rule carries them through the
-reparameterization. The search bounds the persistence logit at
-``logit(1 - 1e-9)`` rather than clipping the persistence, which would flatten
-the gradient there; a fit that ends on the bound says so. SLSQP is used
-because, unlike L-BFGS-B, it stays fast when forked workers run with
-multi-threaded BLAS.
+``(omega, alpha1, beta1)`` with ``d sigma2_1 = 0``, and so do the second
+derivatives, of which only those in ``beta1`` are nonzero:
+``d2 sigma2_t / d beta1 d(...) = d sigma2_{t-1} * (1, 1, 2) + beta1 *
+d2 sigma2_{t-1} / d beta1 d(...)``. Each is a first-order linear filter with
+a nonnegative drive, run by doubling steps in elementwise numpy, so no BLAS
+call enters a fit and its result does not depend on the BLAS thread count.
+The chain rule carries both through the reparameterization, and each 3x3
+system is solved through its explicit Cholesky factor. Where the Hessian is
+not positive definite the run takes a BHHH step instead (Berndt, Hall, Hall
+& Hausman 1974), whose matrix is the outer product of the per-observation
+scores.
+
+The persistence logit is bounded at ``logit(1 - 1e-9)`` rather than the
+persistence clipped, which would flatten the gradient there. A step that
+would cross the bound stops on it, and while the likelihood still rises
+outward the bound is active: the run continues over the other two
+coordinates. A fit that ends on the bound says so.
 """
 
 from __future__ import annotations
@@ -27,9 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
-from scipy.special import expit, logit
 
 from .errors import DataError, FitError
 from .innovations import Seed, substream
@@ -89,20 +97,36 @@ class GarchFit:
         }
 
 
+def _filter(x: np.ndarray, coef: float) -> np.ndarray:
+    """``x_t += coef * x_{t-1}`` along axis 0, in place: the linear filter
+    with drive ``x`` from ``x_{-1} = 0``.
+
+    After the doubling step of span ``k``, ``x_t`` holds the drives
+    ``t-2k+1 .. t`` weighted by powers of ``coef``, so ``ceil(log2 n)``
+    elementwise steps finish it. Every drive here is nonnegative, so no term
+    cancels.
+    """
+    k = 1
+    while k < x.shape[0]:
+        x[k:] += coef * x[:-k]
+        k += k
+        coef *= coef
+    return x
+
+
 def conditional_variance(
     params: GarchParams, values: np.ndarray, sigma2_init: float
 ) -> np.ndarray:
     """``sigma2_t = omega + alpha1*Y_{t-1}^2 + beta1*sigma2_{t-1}`` with
     ``sigma2_1 = sigma2_init``, computed as a linear filter."""
-    n = values.size
-    out = np.empty(n)
+    out = np.empty(values.size)
     out[0] = sigma2_init
-    if n > 1:
-        drive = params.omega + params.alpha1 * values[:-1] ** 2
-        out[1:] = lfilter(
-            [1.0], [1.0, -params.beta1], drive, zi=[params.beta1 * sigma2_init]
-        )[0]
-    return out
+    out[1:] = params.omega + params.alpha1 * values[:-1] ** 2
+    return _filter(out, params.beta1)
+
+
+def _loglik(y2: np.ndarray, sig2: np.ndarray) -> float:
+    return float(-0.5 * np.sum(_LOG_2PI + np.log(sig2) + y2 / sig2))
 
 
 def gaussian_loglik(
@@ -111,8 +135,7 @@ def gaussian_loglik(
     """Gaussian conditional log-likelihood, first observation included."""
     if sigma2_init is None:
         sigma2_init = float(np.var(values))
-    sig2 = conditional_variance(params, values, sigma2_init)
-    return float(-0.5 * np.sum(_LOG_2PI + np.log(sig2) + values**2 / sig2))
+    return _loglik(values * values, conditional_variance(params, values, sigma2_init))
 
 
 def garch_score(
@@ -122,44 +145,232 @@ def garch_score(
     ``(omega, alpha1, beta1)``."""
     if sigma2_init is None:
         sigma2_init = float(np.var(values))
-    # d sigma2_t / d(omega, alpha1, beta1) = (1, Y_{t-1}^2, sigma2_{t-1})
-    # + beta1 * d sigma2_{t-1}, from d sigma2_1 = 0: one filter over three rows
     sig2 = conditional_variance(params, values, sigma2_init)
     y2 = values * values
-    ll = -0.5 * np.sum(_LOG_2PI + np.log(sig2) + y2 / sig2)
-    drive = np.empty((3, values.size - 1))
-    drive[0] = 1.0
-    drive[1] = y2[:-1]
-    drive[2] = sig2[:-1]
-    sens = lfilter([1.0], [1.0, -params.beta1], drive, axis=1)
-    # d ll / d sigma2_t; a row-wise sum, not a matrix product, keeps BLAS out
-    weight = 0.5 * (y2[1:] / sig2[1:] - 1.0) / sig2[1:]
-    return float(ll), (sens * weight).sum(axis=1)
+    grad, _, _ = _derivatives(params.beta1, y2, sig2)
+    return _loglik(y2, sig2), np.array(grad)
 
 
-def _unpack(theta: np.ndarray) -> tuple[float, float, float]:
-    """``(omega, persistence, ARCH share)`` at a search point."""
-    return math.exp(theta[0]), float(expit(theta[1])), float(expit(theta[2]))
+def _derivatives(beta1: float, y2: np.ndarray, sig2: np.ndarray):
+    """Gradient, Hessian and outer product of the per-observation scores of
+    the log-likelihood in ``(omega, alpha1, beta1)``, as Python floats."""
+    # d sigma2_t / d(omega, alpha1, beta1): the filter of
+    # (1, Y_{t-1}^2, sigma2_{t-1}) from d sigma2_1 = 0
+    sens = np.zeros((y2.size, 3))
+    sens[1:, 0] = 1.0
+    sens[1:, 1] = y2[:-1]
+    sens[1:, 2] = sig2[:-1]
+    _filter(sens, beta1)
+    # d sens_t / d beta1, the filter of sens_{t-1} * (1, 1, 2) from zero
+    curv = np.zeros_like(sens)
+    curv[1:] = sens[:-1]
+    curv[1:, 2] *= 2.0
+    _filter(curv, beta1)
+    ratio = y2 / sig2
+    weight = 0.5 * (ratio - 1.0) / sig2  # d ll / d sigma2_t
+    # d2 ll / d sigma2_t^2 and the squared weight, per pair of sensitivities
+    coef = np.stack(((0.5 - ratio) / (sig2 * sig2), weight * weight), axis=1)
+    outer = (sens[:, :, None] * sens[:, None, :]).reshape(-1, 1, 9)
+    hess, opg = (outer * coef[:, :, None]).sum(axis=0).reshape(2, 3, 3).tolist()
+    first = (np.concatenate((sens, curv), axis=1) * weight[:, None]).sum(axis=0)
+    grad, extra = first[:3].tolist(), first[3:].tolist()
+    # only the second derivatives in beta1 are nonzero
+    for i in range(2):
+        hess[i][2] += extra[i]
+        hess[2][i] += extra[i]
+    hess[2][2] += extra[2]
+    return grad, hess, opg
 
 
-def _params(omega: float, persistence: float, share: float) -> GarchParams:
-    return GarchParams(omega, persistence * share, persistence * (1.0 - share))
+def _expit(x: float) -> tuple[float, float]:
+    """The logistic map and its derivative, without overflow."""
+    e = math.exp(-abs(x))
+    p = 1.0 / (1.0 + e) if x >= 0.0 else e / (1.0 + e)
+    return p, e / (1.0 + e) ** 2
+
+
+def _logit(p: float) -> float:
+    return math.log(p / (1.0 - p))
+
+
+def _params(theta) -> GarchParams:
+    """Coefficients at a search point ``(log omega, logit persistence,
+    logit ARCH share)``."""
+    persistence, _ = _expit(theta[1])
+    share, _ = _expit(theta[2])
+    return GarchParams(
+        math.exp(theta[0]), persistence * share, persistence * (1.0 - share)
+    )
+
+
+def _congruence(omega, a1, b1, a2, b2, m) -> list[list[float]]:
+    """``J' m J`` for the Jacobian ``J`` with columns ``(omega, 0, 0)``,
+    ``(0, a1, b1)`` and ``(0, a2, b2)``."""
+    r1 = a1 * m[0][1] + b1 * m[0][2]
+    r2 = a2 * m[0][1] + b2 * m[0][2]
+    c11 = a1 * a1 * m[1][1] + 2.0 * a1 * b1 * m[1][2] + b1 * b1 * m[2][2]
+    c12 = a1 * a2 * m[1][1] + (a1 * b2 + b1 * a2) * m[1][2] + b1 * b2 * m[2][2]
+    c22 = a2 * a2 * m[1][1] + 2.0 * a2 * b2 * m[1][2] + b2 * b2 * m[2][2]
+    return [
+        [omega * omega * m[0][0], omega * r1, omega * r2],
+        [omega * r1, c11, c12],
+        [omega * r2, c12, c22],
+    ]
+
+
+def _chain(theta, grad, hess, opg):
+    """Gradient, Hessian and score outer product of the negative
+    log-likelihood in the search coordinates, from those of the
+    log-likelihood in the coefficients."""
+    omega = math.exp(theta[0])
+    persistence, dp = _expit(theta[1])
+    share, ds = _expit(theta[2])
+    # d(alpha1, beta1) / d theta1 and / d theta2
+    a1, b1 = dp * share, dp * (1.0 - share)
+    a2, b2 = persistence * ds, -persistence * ds
+    g_omega, g_alpha, g_beta = grad
+    g_p = share * g_alpha + (1.0 - share) * g_beta
+    g_s = g_alpha - g_beta
+    h = _congruence(omega, a1, b1, a2, b2, hess)
+    # plus the score times the second derivatives of the coefficients
+    h[0][0] += omega * g_omega
+    h[1][1] += dp * (1.0 - 2.0 * persistence) * g_p
+    h[1][2] += dp * ds * g_s
+    h[2][1] += dp * ds * g_s
+    h[2][2] += persistence * ds * (1.0 - 2.0 * share) * g_s
+    g = [-omega * g_omega, -dp * g_p, -persistence * ds * g_s]
+    return g, [[-v for v in row] for row in h], _congruence(omega, a1, b1, a2, b2, opg)
+
+
+def _solve(m, g, shift: float = 0.0) -> list[float] | None:
+    """``-(m + shift*I)^-1 g`` through the explicit Cholesky factor of the
+    3x3 matrix; None unless ``m + shift*I`` is positive definite."""
+    d0 = m[0][0] + shift
+    if not d0 > 0.0:
+        return None
+    l00 = math.sqrt(d0)
+    l10, l20 = m[1][0] / l00, m[2][0] / l00
+    d1 = m[1][1] + shift - l10 * l10
+    if not d1 > 0.0:
+        return None
+    l11 = math.sqrt(d1)
+    l21 = (m[2][1] - l20 * l10) / l11
+    d2 = m[2][2] + shift - l20 * l20 - l21 * l21
+    if not d2 > 0.0:
+        return None
+    l22 = math.sqrt(d2)
+    z0 = -g[0] / l00
+    z1 = (-g[1] - l10 * z0) / l11
+    z2 = (-g[2] - l20 * z0 - l21 * z1) / l22
+    x2 = z2 / l22
+    x1 = (z1 - l21 * x2) / l11
+    return [(z0 - l10 * x1 - l20 * x2) / l00, x1, x2]
 
 
 # variance-targeted (persistence, ARCH share) multi-start menu
 _STARTS = ((0.90, 0.10), (0.95, 0.05), (0.70, 0.30), (0.98, 0.08), (0.50, 0.20))
 
-# expit saturates to 1.0 in float64: bounding the persistence logit keeps
-# every iterate strictly inside the stationarity region
-_THETA1_MAX = float(logit(1.0 - 1e-9))
-_BOUNDS = ((None, None), (None, _THETA1_MAX), (None, None))
+# the logistic map saturates to 1.0 in float64: bounding the persistence
+# logit keeps every iterate strictly inside the stationarity region
+_P_MAX = 1.0 - 1e-9
+_THETA1_MAX = math.log(_P_MAX / (1.0 - _P_MAX))
+
+_MAX_ITER = 100  # iterations per run
+_TOL = 1e-10  # a run has converged once its step promises less decrease
+_TOL_LAST = 1e-6  # below this promise, a quadratically converging step is the last
+_ARMIJO = 1e-4  # share of the first-order decrease a step must keep
+
+
+@dataclass(frozen=True)
+class _Run:
+    theta: list[float]
+    f: float
+    iterations: int
+    converged: bool
+
+
+def _search(theta, negative_loglik, derivatives, free=(True, True, True)) -> _Run:
+    """Minimize from ``theta`` over its ``free`` coordinates.
+
+    Each iteration takes the Newton step where the Hessian is positive
+    definite and the BHHH step (the outer product of the per-observation
+    scores) elsewhere, no longer in any coordinate than a radius that
+    doubles after each full step and shrinks to each backtracked one. A full
+    step that gains more than its quadratic model is doubled while the gain
+    continues: near a saturated logistic or log coordinate the likelihood
+    flattens exponentially and Newton steps there advance by about one unit.
+    """
+    f, sig2 = negative_loglik(theta)
+    radius, last = 1.0, math.inf
+    for it in range(_MAX_ITER):
+        g, h, opg = derivatives(theta, sig2)
+        # the persistence bound is active while the likelihood rises outward
+        fixed = (not free[0],
+                 not free[1] or (theta[1] >= _THETA1_MAX and g[1] < 0.0),
+                 not free[2])
+        for i in range(3):
+            if fixed[i]:
+                g[i] = 0.0
+                for j in range(3):
+                    h[i][j] = h[j][i] = opg[i][j] = opg[j][i] = float(i == j)
+        d = _solve(h, g)
+        newton = d is not None
+        if d is None:
+            # the BHHH matrix is only semidefinite where a coordinate has
+            # saturated; a relative ridge of 1e-12 keeps it solvable
+            d = _solve(opg, g, 1e-12 * max(opg[0][0], opg[1][1], opg[2][2]))
+            if d is None:
+                return _Run(theta, f, it, False)
+        promised = -(g[0] * d[0] + g[1] * d[1] + g[2] * d[2])
+        if promised < _TOL:
+            return _Run(theta, f, it, True)
+        length = max(abs(d[0]), abs(d[1]), abs(d[2]))
+
+        def point(t):
+            out = [x + t * di if di else x for x, di in zip(theta, d)]
+            out[1] = min(out[1], _THETA1_MAX)
+            return out
+
+        t = full = min(1.0, radius / length)
+        while True:
+            trial = point(t)
+            f_trial, sig2_trial = negative_loglik(trial)
+            slope = sum(gi * (x - y) for gi, x, y, di in zip(g, trial, theta, d) if di)
+            if f_trial <= f + _ARMIJO * min(slope, 0.0):
+                break
+            t *= 0.5
+            if t * length < 1e-10:
+                # no representable improvement: converged up to rounding
+                return _Run(theta, f, it, promised < 1e3 * _TOL)
+        if t == full and f - f_trial > 0.6 * t * promised:
+            while theta[1] + 2.0 * t * d[1] <= _THETA1_MAX:
+                further = point(2.0 * t)
+                f_further, sig2_further = negative_loglik(further)
+                if not f_further < f_trial:
+                    break
+                gain = f_trial - f_further
+                t, trial, f_trial, sig2_trial = 2.0 * t, further, f_further, sig2_further
+                if gain < _TOL:
+                    break
+        elif newton and t == 1.0 and promised < min(_TOL_LAST, 1e-2 * last):
+            # a full Newton step whose promise fell a hundredfold since the
+            # last one: convergence is quadratic, so the gap it leaves is far
+            # below _TOL and checking it would cost one more evaluation
+            return _Run(trial, f_trial, it + 1, True)
+        last = promised
+        radius = 2.0 * t * length if t >= full else t * length
+        theta, f, sig2 = trial, f_trial, sig2_trial
+    return _Run(theta, f, _MAX_ITER, False)
 
 
 def fit_garch11_mle(y: ReturnSeries) -> GarchFit:
     """Quasi-MLE over the stationarity region; best of the multi-start runs.
 
-    A start that stops short of convergence still competes; the winner's
-    ``converged`` flag records it.
+    After the five starts, two runs probe the persistence bound, which a
+    search from the interior reaches only slowly: one over the bound's face
+    from the best start's intercept and ARCH share, one over the intercept
+    at the face's ``alpha1 = 0`` corner. A run that stops short of
+    convergence still competes; the winner's ``converged`` flag records it.
     """
     values = y.values
     if values.size < 30:
@@ -167,62 +378,50 @@ def fit_garch11_mle(y: ReturnSeries) -> GarchFit:
     sample_var = float(np.var(values))
     if not sample_var > 0.0:
         raise DataError("degenerate (constant) series")
+    y2 = values * values
 
-    def negative_loglik(theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def negative_loglik(theta) -> tuple[float, np.ndarray | None]:
         try:
-            omega, persistence, share = _unpack(theta)
-            params = _params(omega, persistence, share)
+            params = _params(theta)
         except (OverflowError, DataError):
-            return math.inf, np.zeros(3)
-        ll, (g_omega, g_alpha, g_beta) = garch_score(params, values, sample_var)
-        # chain rule through omega = exp(theta0), persistence = expit(theta1)
-        # and share = expit(theta2)
-        grad = np.array(
-            [
-                omega * g_omega,
-                persistence
-                * (1.0 - persistence)
-                * (share * g_alpha + (1.0 - share) * g_beta),
-                persistence * share * (1.0 - share) * (g_alpha - g_beta),
-            ]
-        )
-        if not (math.isfinite(ll) and np.all(np.isfinite(grad))):
-            return math.inf, np.zeros(3)
-        return -ll, -grad
+            return math.inf, None
+        sig2 = conditional_variance(params, values, sample_var)
+        ll = _loglik(y2, sig2)
+        return (-ll, sig2) if math.isfinite(ll) else (math.inf, None)
+
+    def derivatives(theta, sig2):
+        return _chain(theta, *_derivatives(_params(theta).beta1, y2, sig2))
 
     best = None
+
+    def run(theta, free=(True, True, True)):
+        nonlocal best
+        result = _search(theta, negative_loglik, derivatives, free)
+        if math.isfinite(result.f) and (best is None or result.f < best.f):
+            best = result
+
     # far-off trial points overflow the variance path; they score +inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for persistence, share in _STARTS:
-            theta0 = np.array(
-                [
-                    math.log(sample_var * (1.0 - persistence)),
-                    float(logit(persistence)),
-                    float(logit(share)),
-                ]
-            )
-            res = minimize(
-                negative_loglik,
-                theta0,
-                jac=True,
-                method="SLSQP",
-                bounds=_BOUNDS,
-                options={"maxiter": 500, "ftol": 1e-12},
-            )
-            if math.isfinite(res.fun) and (best is None or res.fun < best.fun):
-                best = res
-    if best is None:
-        raise FitError("likelihood optimization failed from every start")
+            run([math.log(sample_var * (1.0 - persistence)), _logit(persistence),
+                 _logit(share)])
+        if best is None:
+            raise FitError("likelihood optimization failed from every start")
+        run([best.theta[0], _THETA1_MAX, best.theta[2]], (True, False, True))
+        # the corner's intercept starts where the variance path would double
+        # over the window
+        run([math.log(sample_var / values.size), _THETA1_MAX, -math.inf],
+            (True, False, False))
 
-    params = _params(*_unpack(best.x))
+    params = _params(best.theta)
     sig2 = conditional_variance(params, values, sample_var)
     return GarchFit(
         params,
         sig2,
         gaussian_loglik(params, values, sample_var),
-        converged=bool(best.success),
-        iterations=int(best.nit),
-        persistence_at_bound=bool(best.x[1] >= _THETA1_MAX),
+        converged=best.converged,
+        iterations=best.iterations,
+        persistence_at_bound=best.theta[1] >= _THETA1_MAX,
     )
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -202,6 +207,11 @@ class TestOptimumQuality:
         895.0907615118335, 896.1011142717856, 896.8422997222392,
     )
 
+    # optima on the persistence bound with a positive ARCH term, (model,
+    # seed, n, w0) -> log-likelihood recorded from the SLSQP fit that the
+    # Newton search replaced
+    FACE = {("M2", 2, 500, 200): 745.9133030685176, ("M5", 2, 500, 0): 738.2762078400426}
+
     @staticmethod
     def fits(spec, starts):
         values = generate(spec).values
@@ -224,6 +234,12 @@ class TestOptimumQuality:
             assert GarchParams(p.omega, p.alpha1, p.beta1) == p
             assert p.alpha1 + p.beta1 < 1.0
 
+    def test_bound_face_windows(self):
+        for (model, seed, n, w0), record in self.FACE.items():
+            (fit,) = self.fits(ModelSpec(model=model, n=n, seed=Seed(seed)), [w0])
+            assert fit.persistence_at_bound and fit.params.alpha1 > 0.0
+            assert fit.loglik >= record - 1e-9, (model, record - fit.loglik)
+
 
 class TestConvergenceRecord:
     def test_fields_in_dict(self):
@@ -234,16 +250,38 @@ class TestConvergenceRecord:
         assert d["persistence_at_bound"] is False
 
     def test_unconverged_fit_is_recorded(self, monkeypatch):
-        search = garch.minimize
-
-        def one_step(*args, **kwargs):
-            return search(*args, **{**kwargs, "options": {"maxiter": 1}})
-
-        monkeypatch.setattr(garch, "minimize", one_step)
+        monkeypatch.setattr(garch, "_MAX_ITER", 1)
         fit = fit_garch11_mle(generate(ModelSpec(model="M3", n=300, seed=Seed(2))))
         assert not fit.converged
         assert fit.iterations <= 1
         assert fit.params.alpha1 + fit.params.beta1 < 1.0
+
+
+class TestThreadIndependence:
+    SCRIPT = """
+from novas import ReturnSeries, Seed, fit_garch11_mle, generate
+from novas.simulate import ModelSpec
+
+values = generate(ModelSpec(model="M1", n=280, seed=Seed(3))).values
+for w0 in range(30):
+    fit = fit_garch11_mle(ReturnSeries(values[w0 : w0 + 250]))
+    print(repr(fit.params), repr(fit.loglik), fit.converged, fit.iterations,
+          fit.persistence_at_bound)
+"""
+
+    def test_fits_identical_at_one_and_two_blas_threads(self):
+        # the conftest only sets a default, so each process sets its own
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            out = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert out.returncode == 0, out.stderr
+            outputs.append(out.stdout)
+        assert len(outputs[0].splitlines()) == 30
+        assert outputs[0] == outputs[1]
 
 
 class TestDirectForecast:

@@ -1,11 +1,16 @@
-"""Modules of the package use only each other's public names."""
+"""Modules of the package use only each other's public names, and none of
+them needs scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "novas").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "novas").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -36,3 +41,38 @@ def test_admissibility_bound_stays_in_weights(path):
         or (isinstance(node, ast.Attribute) and node.attr == "A0_MAX")
     ]
     assert not names, names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    imports = [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert not imports, imports
+
+
+def test_fit_and_backtest_load_no_scipy():
+    script = """
+import sys
+from novas import BacktestConfig, ReturnSeries, Seed, fit_garch11_mle, generate, run_rolling_poos
+from novas.simulate import ModelSpec
+
+y = generate(ModelSpec(model="M1", n=252, seed=Seed(3)))
+fit_garch11_mle(ReturnSeries(y.values[:250]))
+report = run_rolling_poos(
+    y, BacktestConfig(window=250, horizons=(1,), paths=100, seed=Seed(3), threads=2)
+)
+assert report.counts == {1: 2}
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
