@@ -76,3 +76,33 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+# every median is the exact one-pass selection in predictor._median; a numpy
+# median or quantile elsewhere would be a second, several times slower path
+ORDER_STATISTICS = {"median", "percentile", "quantile", "nanmedian", "nanpercentile",
+                    "nanquantile"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_median_path(path):
+    tree = ast.parse(path.read_text())
+    helper = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_median"
+    ]
+    inside = {id(n) for fn in helper for n in ast.walk(fn)}
+    calls = [
+        f"line {node.lineno}: {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ORDER_STATISTICS
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+        and id(node) not in inside
+    ] + [
+        f"line {node.lineno}: from numpy import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and (node.module or "").split(".")[0] == "numpy"
+        for alias in node.names if alias.name in ORDER_STATISTICS
+    ]
+    assert not calls, calls

@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from novas import (
     CalibratedTransform,
@@ -27,6 +30,7 @@ from novas import (
     simulate_path,
     simulate_paths,
 )
+from novas.predictor import _median, risk_point
 from novas.returns import variance_path
 from novas.simulate import ModelSpec
 
@@ -145,6 +149,70 @@ class TestSimulateOracle:
         worst = float(draws[2, 3])
         with pytest.raises(TrimBoundError, match=re.escape(f"at step 4; innovation {worst!r} ")):
             simulate_paths(ct, draws)
+
+
+def same_bits(got, want) -> bool:
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(np.isnan(got), nan)
+        and got[~nan].tobytes() == want[~nan].tobytes()
+    )
+
+
+# a few repeated values so that ties are common; adding 0.0 turns -0.0 into
+# 0.0, since a median of signed zeros may pick either sign
+TIED = st.sampled_from([0.0, 1.0, 1.0, 2.5, -3.0])
+SPECIAL = st.sampled_from([np.inf, -np.inf, np.nan])
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64).map(lambda v: v + 0.0)
+
+
+class TestExactMedian:
+    @settings(max_examples=200)
+    @given(arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 64)),
+                  elements=st.one_of(FINITE, TIED)))
+    def test_matches_np_median(self, x):
+        before = x.copy()
+        want = np.median(x, axis=1)
+        assert same_bits(_median(x), want)
+        for row, value in zip(x, want):
+            assert same_bits(_median(row), value)
+        assert same_bits(x, before)
+        assert same_bits(_median(x.copy(), overwrite_input=True), want)
+
+    @settings(max_examples=200)
+    @given(arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 30)),
+                  elements=st.one_of(FINITE, TIED, SPECIAL)))
+    def test_infinities_and_nan(self, x):
+        with np.errstate(invalid="ignore"):
+            want = np.median(x, axis=1)
+            assert same_bits(_median(x), want)
+            for row, value in zip(x, want):
+                assert same_bits(_median(row), value)
+        assert np.isnan(want[np.isnan(x).any(axis=1)]).all()  # NaN gives NaN
+
+    @pytest.mark.parametrize("m", [1000, 1001, 5000, 5001])
+    def test_ensemble_sizes(self, m):
+        rng = np.random.default_rng(m)
+        x = np.round(rng.standard_normal((30, m)) ** 2, 2)  # squares with ties
+        assert same_bits(_median(x), np.median(x, axis=1))
+        assert same_bits(_median(x[7]), np.median(x[7]))
+        x[3, 11] = np.nan
+        assert np.isnan(_median(x[3]))
+        assert same_bits(_median(x), np.median(x, axis=1))
+
+    @settings(max_examples=50)
+    @given(arrays(float, st.integers(100, 400), elements=st.one_of(FINITE, TIED)))
+    def test_risk_point_leaves_input_unmodified(self, stats):
+        # a backtest window reduces one aggregate column under L1, then under
+        # L2: a reordered column would change np.mean's pairwise sum
+        column = stats.copy()
+        assert risk_point(column, Risk.L1) == float(np.median(stats))
+        assert same_bits(column, stats)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(risk_point(column, Risk.L2), float(np.mean(stats)))
 
 
 class TestPredict:
