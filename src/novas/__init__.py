@@ -26,7 +26,6 @@ from .garch import (
     GarchParams,
     conditional_variance,
     fit_garch11_mle,
-    garch_bootstrap_forecast,
     garch_direct_forecast,
     gaussian_loglik,
 )
@@ -46,7 +45,6 @@ from .predictor import (
     forecast_json,
     innovation_source,
     predict,
-    simulate_path,
     simulate_paths,
 )
 from .returns import (
@@ -54,7 +52,6 @@ from .returns import (
     ReturnSeries,
     load_price_csv,
     load_returns_csv,
-    running_variance,
     sample_kurtosis,
     to_log_returns,
 )

@@ -9,9 +9,10 @@ sequences; every random stream is derived from (seed, window, method), so
 reports do not depend on the parallel schedule.
 
 A window has no forecasting code of its own: it runs the draw, simulation,
-running-mean aggregate and risk reduce of ``predict`` and
-``garch_bootstrap_forecast`` under its own substreams, on one ensemble per
-method drawn at its largest horizon, whose running means serve every horizon.
+running-mean aggregate and risk reduce of ``predict`` (the GARCH bootstrap
+draws its paths with ``garch_bootstrap_paths``) under its own substreams, on
+one ensemble per method drawn at its largest horizon, whose running means
+serve every horizon.
 
 Windows are independent, so they run in a pool of forked worker processes
 (``BacktestConfig.threads`` of them, by default one per usable CPU). Fork

@@ -35,13 +35,7 @@ from .backtest import (
 from .errors import DataError, NovasError
 from .innovations import Seed
 from .predictor import ForecastRequest, Risk, Statistic, forecast_json, innovation_source, predict
-from .returns import (
-    ReturnSeries,
-    load_price_csv,
-    load_returns_csv,
-    sample_kurtosis,
-    to_log_returns,
-)
+from .returns import ReturnSeries, read_csv_series, sample_kurtosis, to_log_returns
 from .simulate import MODELS, ModelSpec, generate
 from .transform import CalibratedTransform, calibrate
 from .weights import CalibrationGrid, NovasVariant
@@ -83,9 +77,12 @@ def _emit(command: str, options: dict, files: dict[str, str], message: str) -> i
 
 def _default_seed(value) -> int:
     if value is not None:
-        return int(value)
-    env = os.environ.get("NOVAS_SEED")
-    return int(env) if env else 0
+        return value
+    env = os.environ.get("NOVAS_SEED") or "0"
+    try:
+        return int(env)
+    except ValueError:
+        raise DataError(f"NOVAS_SEED={env!r} is not an integer") from None
 
 
 def _parse_list(text: str, convert, name: str) -> list:
@@ -119,19 +116,13 @@ def _options(args) -> dict:
 
 
 def _load_returns(options: dict) -> ReturnSeries:
-    path = options["input"]
-    returns_column, price_column = options["returns_column"], options["price_column"]
-    with open(path, newline="") as fh:
-        header = fh.readline()
-    columns = [c.strip() for c in header.strip().split(",")]
-    if returns_column in columns:
-        return load_returns_csv(path, returns_column)
-    if price_column in columns:
-        return to_log_returns(load_price_csv(path, price_column))
-    raise DataError(
-        f"{path!r} has neither a {returns_column!r} nor a "
-        f"{price_column!r} column (found {columns})"
+    """The input's return column as is, or else its price column turned
+    into percent log-returns."""
+    series = read_csv_series(
+        options["input"],
+        [(options["returns_column"], "return"), (options["price_column"], "price")],
     )
+    return series if isinstance(series, ReturnSeries) else to_log_returns(series)
 
 
 def _grid_from_args(args) -> CalibrationGrid:

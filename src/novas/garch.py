@@ -40,8 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FitError
-from .innovations import Seed, substream
-from .predictor import ForecastResult, Risk, Statistic, check_paths
 from .returns import ReturnSeries
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -413,12 +411,12 @@ def fit_garch11_mle(y: ReturnSeries) -> GarchFit:
         run([math.log(sample_var / values.size), _THETA1_MAX, -math.inf],
             (True, False, False))
 
+    # the winner's log-likelihood is its search value, on the same path
     params = _params(best.theta)
-    sig2 = conditional_variance(params, values, sample_var)
     return GarchFit(
         params,
-        sig2,
-        gaussian_loglik(params, values, sample_var),
+        conditional_variance(params, values, sample_var),
+        -best.f,
         converged=best.converged,
         iterations=best.iterations,
         persistence_at_bound=best.theta[1] >= _THETA1_MAX,
@@ -451,25 +449,3 @@ def garch_bootstrap_paths(
     sig_star = gen.choice(np.sqrt(fit.sigma2_path), size=(M, h), replace=True)
     return sig_star * gen.standard_normal((M, h))
 
-
-def garch_bootstrap_forecast(
-    fit: GarchFit,
-    h: int,
-    M: int,
-    risk: Risk,
-    seed,
-    statistic: Statistic = Statistic.AGGREGATED_SQUARED,
-) -> ForecastResult:
-    """Model-free-style forecast from a fitted model: the per-path statistic
-    of :func:`garch_bootstrap_paths`, reduced exactly as the transform
-    predictor reduces its ensemble.
-    """
-    if h < 1:
-        raise DataError(f"horizon {h} must be >= 1")
-    check_paths(M)
-    seed = Seed.of(seed)
-    statistic = Statistic(statistic)
-    paths = garch_bootstrap_paths(fit, substream(seed), M, h)
-    return ForecastResult.of_ensemble(
-        statistic.per_path(paths), risk, h, statistic.value, seed
-    )

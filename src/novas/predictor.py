@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -104,26 +103,18 @@ class ForecastRequest:
     source: InnovationSource
     paths: int = 5000
     risk: Risk = Risk.L2
-    statistic: Statistic | Callable[[np.ndarray], np.ndarray] = (
-        Statistic.AGGREGATED_SQUARED
-    )
+    statistic: Statistic = Statistic.AGGREGATED_SQUARED
     seed: Seed = field(default_factory=Seed)
 
     def __post_init__(self):
         if self.horizon < 1:
             raise DataError(f"horizon {self.horizon} must be >= 1")
         check_paths(self.paths)
-        if not callable(self.statistic):
-            try:
-                statistic = Statistic(self.statistic)
-            except ValueError:
-                raise DataError(f"unknown statistic {self.statistic!r}") from None
-            object.__setattr__(self, "statistic", statistic)
-
-    def statistic_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        if callable(self.statistic):
-            return self.statistic
-        return self.statistic.per_path
+        try:
+            statistic = Statistic(self.statistic)
+        except ValueError:
+            raise DataError(f"unknown statistic {self.statistic!r}") from None
+        object.__setattr__(self, "statistic", statistic)
 
 
 @dataclass(frozen=True)
@@ -139,27 +130,6 @@ class ForecastResult:
     paths: int
     seed: Seed
     stepwise_l1_aggregate: float | None = None
-
-    @classmethod
-    def of_ensemble(
-        cls, stats: np.ndarray, risk, horizon: int, statistic: str, seed: Seed,
-        stepwise_l1_aggregate: float | None = None,
-    ) -> "ForecastResult":
-        """Summary of the per-path statistics ``stats`` of one ensemble."""
-        risk = Risk(risk)
-        mean = risk_point(stats, Risk.L2)
-        median = risk_point(stats, Risk.L1)
-        return cls(
-            point=mean if risk is Risk.L2 else median,
-            ensemble_mean=mean,
-            ensemble_median=median,
-            horizon=horizon,
-            risk=risk,
-            statistic=statistic,
-            paths=len(stats),
-            seed=seed,
-            stepwise_l1_aggregate=stepwise_l1_aggregate,
-        )
 
 
 def simulate_paths(
@@ -244,14 +214,6 @@ def simulate_paths(
     return paths.T
 
 
-def simulate_path(ct: CalibratedTransform, innovations) -> np.ndarray:
-    """Single simulated future of length ``h`` (one row of the ensemble)."""
-    innovations = np.asarray(innovations, dtype=float)
-    if innovations.ndim != 1:
-        raise DataError("simulate_path takes a single innovation vector")
-    return simulate_paths(ct, innovations[None, :])[0]
-
-
 def innovation_source(ct: CalibratedTransform, kind) -> InnovationSource:
     """The innovation source a calibrated transform implies for each kind."""
     kind = SourceKind(kind)
@@ -272,9 +234,7 @@ def predict(
     gen = substream(req.seed)
     draws = req.source.draw(gen, (req.paths, req.horizon))
     paths = simulate_paths(ct, draws)
-    stats = np.asarray(req.statistic_fn()(paths), dtype=float)
-    if stats.shape != (req.paths,):
-        raise DataError("statistic must map an (M, h) ensemble to M values")
+    stats = req.statistic.per_path(paths)
 
     stepwise = None
     if req.statistic is Statistic.AGGREGATED_SQUARED:
@@ -285,17 +245,18 @@ def predict(
         steps = np.square(paths.T)
         stepwise = float(np.mean(_median(steps, overwrite_input=True)))
 
-    result = ForecastResult.of_ensemble(
-        stats,
-        req.risk,
-        req.horizon,
-        (
-            req.statistic.value
-            if isinstance(req.statistic, Statistic)
-            else getattr(req.statistic, "__name__", "custom")
-        ),
-        req.seed,
-        stepwise,
+    risk = Risk(req.risk)
+    mean, median = risk_point(stats, Risk.L2), risk_point(stats, Risk.L1)
+    result = ForecastResult(
+        point=mean if risk is Risk.L2 else median,
+        ensemble_mean=mean,
+        ensemble_median=median,
+        horizon=req.horizon,
+        risk=risk,
+        statistic=req.statistic.value,
+        paths=req.paths,
+        seed=req.seed,
+        stepwise_l1_aggregate=stepwise,
     )
     if return_paths:
         return result, paths

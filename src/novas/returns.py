@@ -1,12 +1,12 @@
-"""Price ingestion, percent log-returns, and the running statistics
+"""CSV ingestion, percent log-returns, and the running statistics
 (recursive variance, sample kurtosis) every other module consumes.
 
 Conventions, fixed once here:
 
 * ``Y_t = 100 * ln(X_{t+1} / X_t)`` -- percent log-returns.
-* ``running_variance(y, upto=t)`` is the variance estimate available *at*
-  time ``t``: the first ``t - 1`` observations, centered on their own mean,
-  divided by ``t - 1`` (window-length divisor, not ``n - 1``).
+* ``ReturnSeries.variance_path[t - 1]`` is the variance estimate available
+  *at* time ``t``: the first ``t - 1`` observations, centered on their own
+  mean, divided by ``t - 1`` (window-length divisor, not ``n - 1``).
 * Every variance estimate, in-sample or along a simulated path, comes from
   one (count, mean, M2) recursion, :func:`welford_update`. A series' whole
   path of estimates is computed once and cached on its
@@ -75,68 +75,68 @@ class ReturnSeries:
         return variance_path(self.values)
 
 
-def load_price_csv(path, column: str = "close") -> PriceSeries:
-    """Read a price series from a headered CSV file.
+# columns that label a price row, in order of preference
+_STAMP_COLUMNS = ("timestamp", "date", "time", "index")
 
-    Rows with unparseable or nonpositive prices are rejected outright (the
-    error names the offending row), never silently skipped.
+
+def read_csv_series(path, columns) -> PriceSeries | ReturnSeries:
+    """The series in the first of ``columns`` that a headered CSV file names.
+
+    ``columns`` holds ``(name, kind)`` pairs in order of preference, each
+    ``kind`` either ``"price"`` or ``"return"``. :mod:`csv` parses the
+    header once, so quoted names match, and each row once. Every value must
+    be a finite number and every price strictly positive: the error names
+    the file line of the first row that is not (the header is line 1); no
+    row is skipped. Prices are labelled from the first timestamp-like
+    column, or by their positions.
     """
     try:
         fh = open(path, newline="")
     except OSError as exc:
-        raise DataError(f"cannot open price file {path!r}: {exc}") from exc
+        raise DataError(f"cannot open {path!r}: {exc}") from exc
     with fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise DataError(
-                f"column {column!r} not found in {path!r} "
-                f"(columns: {reader.fieldnames})"
-            )
-        tskey = None
-        for cand in ("timestamp", "date", "time", "index"):
-            if cand in reader.fieldnames:
-                tskey = cand
-                break
-        prices: list[float] = []
+        header = reader.fieldnames or []
+        found = [(name, kind) for name, kind in columns if name in header]
+        if not found:
+            wanted = " or ".join(repr(name) for name, _ in columns)
+            raise DataError(f"column {wanted} not found in {path!r} (columns: {header})")
+        column, kind = found[0]
+        stamp = next((c for c in _STAMP_COLUMNS if c in header), None)
+        values: list[float] = []
         stamps: list[str] = []
-        for i, row in enumerate(reader, start=2):  # row 1 is the header
-            raw = (row.get(column) or "").strip()
+        for position, row in enumerate(reader):
+            line = reader.line_num
+            raw = (row[column] or "").strip()
             try:
                 value = float(raw)
             except ValueError:
-                raise DataError(f"row {i}: price {raw!r} is not numeric") from None
-            if not math.isfinite(value) or value <= 0.0:
-                raise DataError(f"row {i}: price {raw!r} is not strictly positive")
-            prices.append(value)
-            stamps.append((row.get(tskey) or str(i - 2)) if tskey else str(i - 2))
-    if len(prices) < 2:
-        raise DataError(f"fewer than 2 prices in {path!r}")
-    return PriceSeries(np.asarray(prices), tuple(stamps))
-
-
-def load_returns_csv(path, column: str = "return") -> ReturnSeries:
-    """Read an already-computed return series from a headered CSV file."""
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open returns file {path!r}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise DataError(
-                f"column {column!r} not found in {path!r} "
-                f"(columns: {reader.fieldnames})"
-            )
-        values: list[float] = []
-        for i, row in enumerate(reader, start=2):
-            raw = (row.get(column) or "").strip()
-            try:
-                values.append(float(raw))
-            except ValueError:
-                raise DataError(f"row {i}: return {raw!r} is not numeric") from None
+                raise DataError(f"row {line}: {kind} {raw!r} is not numeric") from None
+            if not math.isfinite(value):
+                raise DataError(f"row {line}: {kind} {raw!r} is not finite")
+            if kind == "price" and value <= 0.0:
+                raise DataError(f"row {line}: price {raw!r} is not strictly positive")
+            values.append(value)
+            stamps.append((row[stamp] if stamp else None) or str(position))
+    if kind == "price":
+        if len(values) < 2:
+            raise DataError(f"fewer than 2 prices in {path!r}")
+        return PriceSeries(np.asarray(values), tuple(stamps))
     if not values:
         raise DataError(f"no returns in {path!r}")
     return ReturnSeries(np.asarray(values))
+
+
+def load_price_csv(path, column: str = "close") -> PriceSeries:
+    """Read a price series from a headered CSV file (see
+    :func:`read_csv_series`)."""
+    return read_csv_series(path, [(column, "price")])
+
+
+def load_returns_csv(path, column: str = "return") -> ReturnSeries:
+    """Read an already-computed return series from a headered CSV file (see
+    :func:`read_csv_series`)."""
+    return read_csv_series(path, [(column, "return")])
 
 
 def to_log_returns(p: PriceSeries) -> ReturnSeries:
@@ -144,22 +144,6 @@ def to_log_returns(p: PriceSeries) -> ReturnSeries:
     if len(p) < 2:
         raise DataError("need at least 2 prices to form returns")
     return ReturnSeries(100.0 * np.diff(np.log(p.prices)))
-
-
-def running_variance(y: ReturnSeries, upto: int) -> float:
-    """Variance estimate available at time ``upto``.
-
-    Mean-centered second moment of the first ``upto - 1`` observations with
-    divisor ``upto - 1``. A single observation gives 0 by convention. Read
-    from the series' cached :func:`variance_path`.
-    """
-    if upto < 2:
-        raise DataError(f"running variance undefined for upto={upto} (< 2)")
-    if upto - 1 > len(y):
-        raise DataError(
-            f"upto={upto} needs {upto - 1} observations, series has {len(y)}"
-        )
-    return float(y.variance_path[upto - 1])
 
 
 def welford_update(count, mean, m2, x):

@@ -18,7 +18,6 @@ from novas import (
     calibrate,
     fit_garch11_mle,
     format_table,
-    garch_bootstrap_forecast,
     generate,
     innovation_source,
     predict,
@@ -222,8 +221,9 @@ class TestDeterminism:
 
 
 class TestLibraryPath:
-    """The backtest, ``predict`` and ``garch_bootstrap_forecast`` forecast
-    through the same draw, simulation, aggregate and reduce."""
+    """The backtest and ``predict`` forecast through the same draw,
+    simulation, aggregate and reduce, and the GARCH bootstrap reduces its
+    paths the same way."""
 
     def test_backtest_entries_rebuilt_from_library_pieces(self, short_series):
         y = ReturnSeries(short_series.values[:70])
@@ -274,11 +274,15 @@ class TestLibraryPath:
         aggs = aggregated_squared(simulate_paths(ct, draws))
         assert predict(ct, req).point == risk_point(aggs[:, -1], risk)
 
-        fit = fit_garch11_mle(short_series)
-        paths = garch_bootstrap_paths(fit, substream(Seed(11)), 200, 9)
-        assert garch_bootstrap_forecast(fit, 9, 200, risk, Seed(11)).point == (
-            risk_point(aggregated_squared(paths)[:, -1], risk)
-        )
+        # one window whose only horizon is 9
+        cfg = small_config(window=81, horizons=(9,), variants=(), risks=(risk.value,),
+                           paths=200, seed=Seed(11))
+        report = run_rolling_poos(short_series, cfg)
+        fit = fit_garch11_mle(ReturnSeries(short_series.values[:81]))
+        gen = substream(cfg.seed, novas.backtest._DOMAIN_GARCH_BOOT, 0)
+        paths = garch_bootstrap_paths(fit, gen, 200, 9)
+        got = report.predictions[MethodKey("GARCH_BOOT", None, risk.value, None)][9][0]
+        assert got == risk_point(aggregated_squared(paths)[:, -1], risk)
 
 
 class TestDegenerateWindows:

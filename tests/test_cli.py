@@ -59,6 +59,14 @@ class TestSimulate:
         sidecar = json.loads((tmp_path / "flag.csv.sidecar.json").read_text())
         assert sidecar["options"]["seed"] == 5
 
+    def test_malformed_env_seed_single_error_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NOVAS_SEED", "abc")
+        out = tmp_path / "env.csv"
+        assert run_cli(["simulate", "--model", "M3", "--n", "30", "--output", out]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error:input: NOVAS_SEED='abc' is not an integer"]
+        assert not out.exists()
+
 
 class TestCalibrateForecast:
     def test_calibrate_output(self, tmp_path, returns_csv):
@@ -96,6 +104,19 @@ class TestCalibrateForecast:
         assert run_cli(["calibrate", "--input", prices, "--variant", "GA_NO_A0",
                         "--alpha", "0.3", "--output", out]) == 0
         assert json.loads(out.read_text())["n"] == 119
+
+    @pytest.mark.parametrize("column", ["return", "close"])
+    def test_quoted_header_accepted(self, tmp_path, column):
+        # R's write.csv quotes its column names
+        returns = np.random.default_rng(0).normal(0, 1, size=120)
+        values = returns if column == "return" else 100 * np.exp(np.cumsum(returns / 100))
+        path = tmp_path / "quoted.csv"
+        path.write_text(f'"index","{column}"\n' + "".join(
+            f'"{i}",{v!r}\n' for i, v in enumerate(values.tolist())))
+        out = tmp_path / "fit.json"
+        assert run_cli(["calibrate", "--input", path, "--variant", "GA_NO_A0",
+                        "--alpha", "0.3", "--output", out]) == 0
+        assert json.loads(out.read_text())["n"] == (120 if column == "return" else 119)
 
 
 class TestBacktest:

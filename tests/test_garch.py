@@ -15,14 +15,14 @@ from novas import (
     Seed,
     conditional_variance,
     fit_garch11_mle,
-    garch_bootstrap_forecast,
     garch_direct_forecast,
     gaussian_loglik,
     generate,
+    substream,
 )
 import novas.garch as garch
-from novas.garch import _STARTS, garch_score
-from novas.predictor import MIN_PATHS
+from novas.garch import _STARTS, garch_bootstrap_paths, garch_score
+from novas.predictor import aggregated_squared, risk_point
 from novas.simulate import ModelSpec
 
 from oracles import oracle_garch_loglik
@@ -310,39 +310,42 @@ class TestDirectForecast:
         assert np.all(out > 0)
 
 
+def bootstrap_point(fit, h, M, risk, seed):
+    """The GARCH bootstrap forecast of the mean ``h``-step square, reduced
+    as a backtest window reduces it."""
+    paths = garch_bootstrap_paths(fit, substream(seed), M, h)
+    return risk_point(aggregated_squared(paths)[:, -1], risk)
+
+
 class TestBootstrapForecast:
     def test_constant_sigma_path(self):
         params = GarchParams(1e-5, 0.05, 0.9)
         fit = GarchFit(params, np.full(50, 4.0), 0.0)
-        result = garch_bootstrap_forecast(fit, h=1, M=200000, risk=Risk.L2, seed=Seed(0))
         # sigma* is always 2, so the statistic is 4 * w^2 with w ~ N(0,1)
-        assert result.ensemble_mean == pytest.approx(4.0, rel=0.02)
-        assert result.ensemble_median == pytest.approx(
-            4.0 * 0.4549364, rel=0.02
-        )  # median of chi-square(1)
+        mean = bootstrap_point(fit, 1, 200000, Risk.L2, Seed(0))
+        assert mean == pytest.approx(4.0, rel=0.02)
+        median = bootstrap_point(fit, 1, 200000, Risk.L1, Seed(0))
+        assert median == pytest.approx(4.0 * 0.4549364, rel=0.02)  # median of chi-square(1)
 
     def test_l2_h1_matches_mean_sigma2(self):
         y = generate(ModelSpec(model="M3", n=400, seed=Seed(3)))
         fit = fit_garch11_mle(y)
-        result = garch_bootstrap_forecast(fit, h=1, M=100000, risk=Risk.L2, seed=Seed(1))
-        assert result.point == pytest.approx(float(fit.sigma2_path.mean()), rel=0.03)
-
-    def test_ensemble_below_minimum(self):
-        fit = GarchFit(GarchParams(1e-5, 0.05, 0.9), np.full(50, 4.0), 0.0)
-        garch_bootstrap_forecast(fit, 1, MIN_PATHS, Risk.L2, Seed(0))
-        with pytest.raises(DataError, match=f"minimum {MIN_PATHS}"):
-            garch_bootstrap_forecast(fit, 1, MIN_PATHS - 1, Risk.L2, Seed(0))
+        point = bootstrap_point(fit, 1, 100000, Risk.L2, Seed(1))
+        assert point == pytest.approx(float(fit.sigma2_path.mean()), rel=0.03)
 
     def test_seed_determinism(self):
         y = generate(ModelSpec(model="M3", n=200, seed=Seed(4)))
         fit = fit_garch11_mle(y)
-        a = garch_bootstrap_forecast(fit, 5, 1000, Risk.L1, Seed(9))
-        b = garch_bootstrap_forecast(fit, 5, 1000, Risk.L1, Seed(9))
-        assert a == b
+        np.testing.assert_array_equal(
+            garch_bootstrap_paths(fit, substream(Seed(9)), 1000, 5),
+            garch_bootstrap_paths(fit, substream(Seed(9)), 1000, 5),
+        )
+        a = bootstrap_point(fit, 5, 1000, Risk.L1, Seed(9))
+        assert a == bootstrap_point(fit, 5, 1000, Risk.L1, Seed(9))
 
     def test_two_seeds_converge_at_large_m(self):
         y = generate(ModelSpec(model="M3", n=400, seed=Seed(8)))
         fit = fit_garch11_mle(y)
-        a = garch_bootstrap_forecast(fit, 5, 5000, Risk.L2, Seed(1)).point
-        b = garch_bootstrap_forecast(fit, 5, 5000, Risk.L2, Seed(2)).point
+        a = bootstrap_point(fit, 5, 5000, Risk.L2, Seed(1))
+        b = bootstrap_point(fit, 5, 5000, Risk.L2, Seed(2))
         assert abs(a - b) / a < 0.05

@@ -25,6 +25,17 @@ def test_no_private_cross_module_imports(path):
     assert not private, private
 
 
+def test_garch_is_a_leaf():
+    # the GARCH baselines need only the error types and the return series;
+    # a bare ``from . import x`` shows up as None
+    tree = ast.parse((SRC / "novas" / "garch.py").read_text())
+    imported = {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    assert imported <= {"errors", "returns"}, imported
+
+
 # build_weights is the one judge of a grid point's admissibility; the
 # package __init__ only re-exports the bound
 @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ from novas import (
     innovation_source,
     inverse_step,
     predict,
-    simulate_path,
     simulate_paths,
 )
 from novas.predictor import _median, risk_point
@@ -49,6 +48,8 @@ def fitted():
 
 
 class TestSimulatePath:
+    """One path: row 0 of the ensemble of a single innovation vector."""
+
     def test_single_step_equals_inverse_step(self, fitted):
         ct = fitted["GE"]
         w = ct.weights
@@ -56,18 +57,18 @@ class TestSimulatePath:
         lagged = history[-w.order :][::-1] ** 2
         for innovation in (-1.2, 0.4, 2.0):
             expected = inverse_step(innovation, lagged, ct.s2_n, w)
-            got = simulate_path(ct, [innovation])
+            got = simulate_paths(ct, [innovation])[0]
             assert abs(got[0]) == pytest.approx(expected, rel=1e-12)
             assert math.copysign(1, got[0]) == math.copysign(1, innovation)
 
     def test_zero_innovations_propagate_zero(self, fitted):
-        path = simulate_path(fitted["GA_NO_A0"], np.zeros(12))
+        path = simulate_paths(fitted["GA_NO_A0"], np.zeros(12))[0]
         assert np.all(path == 0.0)
 
     def test_purity(self, fitted):
         innovations = np.linspace(-1.5, 1.5, 10)
-        a = simulate_path(fitted["GA"], innovations)
-        b = simulate_path(fitted["GA"], innovations)
+        a = simulate_paths(fitted["GA"], innovations)[0]
+        b = simulate_paths(fitted["GA"], innovations)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_batch_matches_single(self, fitted):
@@ -77,7 +78,7 @@ class TestSimulatePath:
         batch = simulate_paths(ct, draws)
         for m in range(6):
             np.testing.assert_allclose(
-                simulate_path(ct, draws[m]), batch[m], rtol=1e-12
+                simulate_paths(ct, draws[m])[0], batch[m], rtol=1e-12
             )
 
     def test_variance_recursion_matches_welford_oracle(self, fitted):
@@ -87,7 +88,7 @@ class TestSimulatePath:
         w = ct.weights
         history = ct.history.values.tolist()
         innovations = [0.5, -1.1, 0.9, 1.4, -0.2]
-        path = simulate_path(ct, np.array(innovations))
+        path = simulate_paths(ct, np.array(innovations))[0]
         combined = history + path.tolist()
         s2_seq = [ct.s2_n] + oracle_welford_variance_path(history, path[:-1])
         for k, innovation in enumerate(innovations):
@@ -223,7 +224,7 @@ class TestPredict:
         result = predict(ct, req)
         assert result.ensemble_mean == pytest.approx(result.ensemble_median, rel=1e-12)
         assert result.point == result.ensemble_mean
-        single = simulate_path(ct, np.full(3, 0.7))
+        single = simulate_paths(ct, np.full(3, 0.7))[0]
         assert result.point == pytest.approx(float(np.mean(single**2)), rel=1e-12)
 
     def test_l2_aggregate_equals_mean_of_step_predictors(self, fitted):
@@ -310,18 +311,14 @@ class TestPredict:
                 statistic="LAST_STEP",
             )
 
-    def test_pluggable_statistic(self, fitted):
-        ct = fitted["GE_NO_A0"]
-        req = ForecastRequest(
-            horizon=3,
-            source=innovation_source(ct, SourceKind.TRIMMED_NORMAL),
-            paths=200,
-            statistic=lambda paths: np.abs(paths[:, -1]),
-            seed=Seed(6),
-        )
-        result = predict(ct, req)
-        assert result.statistic == "<lambda>"
-        assert result.point >= 0.0
+    def test_callable_statistic_refused(self, fitted):
+        # a statistic is a Statistic member or its name, never a function
+        with pytest.raises(DataError, match="unknown statistic"):
+            ForecastRequest(
+                horizon=1,
+                source=innovation_source(fitted["GE"], SourceKind.TRIMMED_NORMAL),
+                statistic=lambda paths: np.abs(paths[:, -1]),
+            )
 
     def test_min_paths_enforced(self, fitted):
         with pytest.raises(DataError, match="minimum"):

@@ -11,7 +11,7 @@ from novas import (
     PriceSeries,
     ReturnSeries,
     load_price_csv,
-    running_variance,
+    load_returns_csv,
     sample_kurtosis,
     to_log_returns,
 )
@@ -62,6 +62,34 @@ class TestLoadPriceCsv:
         assert series.prices.tolist() == [7.0, 8.0]
 
 
+class TestLoadReturnsCsv:
+    def test_quoted_header(self, tmp_path):
+        # R's write.csv quotes its column names
+        path = write_csv(tmp_path, '"index","return"\n"1",0.5\n"2",-1.25\n', "r.csv")
+        assert load_returns_csv(path).values.tolist() == [0.5, -1.25]
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_names_row(self, tmp_path, raw):
+        # the row is named by its line in the file, blank lines included
+        path = write_csv(tmp_path, f"return\n0.5\n\n0.1\n{raw}\n", "r.csv")
+        with pytest.raises(DataError, match=f"row 5: return '{raw}' is not finite"):
+            load_returns_csv(path)
+
+    def test_empty_value_names_row(self, tmp_path):
+        path = write_csv(tmp_path, "return,x\n0.5,1\n,2\n", "r.csv")
+        with pytest.raises(DataError, match="row 3: return '' is not numeric"):
+            load_returns_csv(path)
+
+    def test_header_only(self, tmp_path):
+        with pytest.raises(DataError, match="no returns"):
+            load_returns_csv(write_csv(tmp_path, "return\n", "r.csv"))
+
+    def test_missing_column(self, tmp_path):
+        path = write_csv(tmp_path, "close\n1.0\n", "r.csv")
+        with pytest.raises(DataError, match="'return' not found"):
+            load_returns_csv(path)
+
+
 class TestToLogReturns:
     def test_known_value(self):
         # oracle: 100 * ln(1.05) evaluated independently
@@ -94,11 +122,11 @@ class TestToLogReturns:
 class TestRunningVariance:
     def test_symmetric_pair(self):
         y = ReturnSeries(np.array([-1.0, 1.0]))
-        assert running_variance(y, 3) == pytest.approx(1.0, abs=1e-15)
+        assert y.variance_path[2] == pytest.approx(1.0, abs=1e-15)
 
     def test_constant_series(self):
         y = ReturnSeries(np.full(6, 2.5))
-        assert running_variance(y, 6) == 0.0
+        assert y.variance_path[5] == 0.0
         for c in (0.0, 0.1, 2.5, -1e3):
             assert not np.any(variance_path(np.full(50, c)))
 
@@ -107,17 +135,7 @@ class TestRunningVariance:
         values = rng.normal(size=10)
         y = ReturnSeries(values)
         oracle = statistics.pvariance(values.tolist())
-        assert running_variance(y, 11) == pytest.approx(oracle, rel=1e-12)
-
-    def test_upto_below_two(self):
-        y = ReturnSeries(np.array([1.0, 2.0]))
-        with pytest.raises(DataError):
-            running_variance(y, 1)
-
-    def test_upto_beyond_series(self):
-        y = ReturnSeries(np.array([1.0, 2.0]))
-        with pytest.raises(DataError):
-            running_variance(y, 5)
+        assert y.variance_path[10] == pytest.approx(oracle, rel=1e-12)
 
     @settings(max_examples=60)
     @given(
@@ -128,12 +146,11 @@ class TestRunningVariance:
     )
     def test_permutation_and_translation(self, values, shift):
         y = ReturnSeries(np.array(values))
-        upto = len(values) + 1
-        base = running_variance(y, upto)
+        base = y.variance_path[-1]
         permuted = ReturnSeries(np.array(values[::-1]))
-        assert running_variance(permuted, upto) == pytest.approx(base, abs=1e-12)
+        assert permuted.variance_path[-1] == pytest.approx(base, abs=1e-12)
         shifted = ReturnSeries(np.array(values) + shift)
-        assert running_variance(shifted, upto) == pytest.approx(base, abs=1e-12)
+        assert shifted.variance_path[-1] == pytest.approx(base, abs=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("shift", [0.0, 1e3, -1e3])
@@ -150,10 +167,8 @@ class TestRunningVariance:
     def test_variance_path_matches_pointwise(self):
         rng = np.random.default_rng(5)
         values = rng.normal(size=25)
-        path = variance_path(values)
-        y = ReturnSeries(values)
-        for t in range(2, 26):
-            assert path[t - 1] == running_variance(y, t)
+        # the cached path of a series is the module function's
+        assert np.array_equal(ReturnSeries(values).variance_path, variance_path(values))
 
 
 class TestSampleKurtosis:
