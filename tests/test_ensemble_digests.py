@@ -1,0 +1,147 @@
+"""Byte digests of the ensemble outputs.
+
+Pins the exact bits of :func:`simulate_paths` (every variant, both innovation
+kinds, live and frozen variance), of every :class:`ForecastResult` field of
+:func:`predict` (both statistics, both risks), and of the predictions of a
+short rolling backtest. A rewrite of the draw, simulate or reduce path that
+changes any bit of any of them fails here; a change that is meant to alter
+outputs must update these digests and say why.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from novas import (
+    BacktestConfig,
+    ForecastRequest,
+    NovasVariant,
+    Risk,
+    Seed,
+    SourceKind,
+    Statistic,
+    calibrate,
+    generate,
+    innovation_source,
+    predict,
+    run_rolling_poos,
+    simulate_paths,
+    substream,
+)
+from novas.simulate import ModelSpec
+from novas.weights import CalibrationGrid
+
+ALPHAS = {
+    NovasVariant.GE: 0.5,
+    NovasVariant.GE_NO_A0: 0.5,
+    NovasVariant.GA: 0.6,
+    NovasVariant.GA_NO_A0: 0.5,
+}
+KINDS = (SourceKind.TRIMMED_NORMAL, SourceKind.EMPIRICAL)
+M, H = 500, 30
+
+
+def digest(*parts) -> str:
+    """First 16 hex digits of the SHA-256 of arrays' C-order bytes and of
+    other values' ``repr`` (exact for floats)."""
+    sha = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            sha.update(np.ascontiguousarray(part).tobytes())
+        else:
+            sha.update(repr(part).encode())
+    return sha.hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def transforms():
+    y = generate(ModelSpec(model="M3", n=300, seed=Seed(17)))
+    return {v: calibrate(v, alpha, y) for v, alpha in ALPHAS.items()}
+
+
+SIMULATE = {
+    ("GE", "TRIMMED_NORMAL", False): "70e75be4080d7bff",
+    ("GE", "TRIMMED_NORMAL", True): "d7503fdf30b3db86",
+    ("GE", "EMPIRICAL", False): "eb621e1c01232f4a",
+    ("GE", "EMPIRICAL", True): "ab8ef34f35d99a76",
+    ("GE_NO_A0", "TRIMMED_NORMAL", False): "7946bd4e1e249a3c",
+    ("GE_NO_A0", "TRIMMED_NORMAL", True): "4e3ef8f1c2647e7f",
+    ("GE_NO_A0", "EMPIRICAL", False): "59c6132c0d58e89f",
+    ("GE_NO_A0", "EMPIRICAL", True): "1b373d4329a2ebfc",
+    ("GA", "TRIMMED_NORMAL", False): "e25232963c7bd7f8",
+    ("GA", "TRIMMED_NORMAL", True): "1fe39de2629e4c55",
+    ("GA", "EMPIRICAL", False): "530b1352db61138e",
+    ("GA", "EMPIRICAL", True): "95e111725df7ba2d",
+    ("GA_NO_A0", "TRIMMED_NORMAL", False): "a6b9eeba31a541e8",
+    ("GA_NO_A0", "TRIMMED_NORMAL", True): "9463a0ca12f4de3c",
+    ("GA_NO_A0", "EMPIRICAL", False): "b97df828fa7a01be",
+    ("GA_NO_A0", "EMPIRICAL", True): "6deefe704ea28f87",
+}
+
+
+@pytest.mark.parametrize("freeze", [False, True], ids=["live", "frozen"])
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("variant", list(NovasVariant), ids=lambda v: v.value)
+def test_simulate_paths_digest(transforms, variant, kind, freeze):
+    ct = transforms[variant]
+    gen = substream(Seed(3), list(NovasVariant).index(variant), KINDS.index(kind))
+    draws = innovation_source(ct, kind).draw(gen, (M, H))
+    paths = simulate_paths(ct, draws, freeze_variance=freeze)
+    assert paths.shape == (M, H)
+    assert digest(paths) == SIMULATE[variant.value, kind.value, freeze]
+
+
+PREDICT = {
+    ("GE", "TRIMMED_NORMAL"): "80ff99d3d3cfe035",
+    ("GE", "EMPIRICAL"): "7af20d66e530fd63",
+    ("GE_NO_A0", "TRIMMED_NORMAL"): "d63ffb413162814a",
+    ("GE_NO_A0", "EMPIRICAL"): "e8c50d29abcd8e13",
+    ("GA", "TRIMMED_NORMAL"): "eab35875dd9d001c",
+    ("GA", "EMPIRICAL"): "91cb29b4fd85ade5",
+    ("GA_NO_A0", "TRIMMED_NORMAL"): "c13471861a1c9585",
+    ("GA_NO_A0", "EMPIRICAL"): "6bbb6c796e766e23",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("variant", list(NovasVariant), ids=lambda v: v.value)
+def test_predict_digest(transforms, variant, kind):
+    ct = transforms[variant]
+    results = [
+        predict(
+            ct,
+            ForecastRequest(
+                horizon=H,
+                source=innovation_source(ct, kind),
+                paths=M,
+                risk=risk,
+                statistic=statistic,
+                seed=Seed(5),
+            ),
+        )
+        for statistic in Statistic
+        for risk in Risk
+    ]
+    assert digest(*results) == PREDICT[variant.value, kind.value]
+
+
+BACKTEST = "f72a5ecb84d65bae"
+
+
+def test_backtest_predictions_digest():
+    y = generate(ModelSpec(model="M1", n=256, seed=Seed(3)))
+    cfg = BacktestConfig(
+        window=250,
+        horizons=(1, 5),
+        paths=200,
+        seed=Seed(3),
+        grid=CalibrationGrid(ga_step=0.05),
+        threads=1,
+    )
+    report = run_rolling_poos(y, cfg)
+    parts = []
+    for key in sorted(report.predictions, key=lambda k: k.label()):
+        for h, values in sorted(report.predictions[key].items()):
+            parts += [key.label(), h, values]
+    assert digest(*parts) == BACKTEST
