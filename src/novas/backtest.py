@@ -9,10 +9,11 @@ sequences; every random stream is derived from (seed, window, method), so
 reports do not depend on the parallel schedule.
 
 A window has no forecasting code of its own: it runs the draw, simulation,
-running-mean aggregate and risk reduce of ``predict`` (the GARCH bootstrap
-draws its paths with ``garch_bootstrap_paths``) under its own substreams, on
-one ensemble per method drawn at its largest horizon, whose running means
-serve every horizon.
+aggregate and risk reduce of ``predict`` (the GARCH bootstrap draws its
+paths with ``garch_bootstrap_paths``) under its own substreams, on one
+ensemble per method drawn at its largest horizon. One running sum over the
+ensemble's step-major squares gives the per-path means at every horizon of
+the window.
 
 Windows are independent, so they run in a pool of forked worker processes
 (``BacktestConfig.threads`` of them, by default one per usable CPU). Fork
@@ -222,10 +223,11 @@ def _run_window(
                 source = innovation_source(ct, KIND_TO_SOURCE[kind])
                 gen = substream(cfg.seed, _DOMAIN_NOVAS, w0, vi, ai, _KIND_INDEX[kind])
                 draws = source.draw(gen, (cfg.paths, h_top))
-                aggs = aggregated_squared(simulate_paths(ct, draws))
+                paths = simulate_paths(ct, draws)
+                aggs = aggregated_squared(np.square(paths.T), h_here)
                 for risk in cfg.risks:
                     key = MethodKey(variant.value, alpha, risk, kind)
-                    preds[key] = {h: risk_point(aggs[:, h - 1], risk) for h in h_here}
+                    preds[key] = {h: risk_point(a, risk) for h, a in zip(h_here, aggs)}
 
     try:
         fit = fit_garch11_mle(window_returns)
@@ -239,10 +241,11 @@ def _run_window(
         preds[_BENCHMARK] = {h: float(vcum[h - 1] / h) for h in h_here}
         if cfg.include_garch_bootstrap:
             gen = substream(cfg.seed, _DOMAIN_GARCH_BOOT, w0)
-            aggs = aggregated_squared(garch_bootstrap_paths(fit, gen, cfg.paths, h_top))
+            paths = garch_bootstrap_paths(fit, gen, cfg.paths, h_top)
+            aggs = aggregated_squared(np.square(paths.T, order="C"), h_here)
             for risk in cfg.risks:
                 key = MethodKey("GARCH_BOOT", None, risk, None)
-                preds[key] = {h: risk_point(aggs[:, h - 1], risk) for h in h_here}
+                preds[key] = {h: risk_point(a, risk) for h, a in zip(h_here, aggs)}
     return preds, dead_families
 
 

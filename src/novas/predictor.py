@@ -5,13 +5,14 @@ window: ``M`` innovation vectors of length ``h`` go through the inverse
 transform (:func:`simulate_paths`), each pseudo-return feeding back into the
 lag window and (by default) the recursive variance. Every lag profile is
 geometric, so a path's lag window is one running sum, O(1) state per path
-whatever the lag order. The ensemble comes back as the ``(M, h)`` transpose
-of a step-major ``(h, M)`` array: each step's values are contiguous. A
-per-path statistic, such as the running means of squares from
-:func:`aggregated_squared`, is reduced by :func:`risk_point`, as are the
-GARCH bootstrap's paths: the ensemble mean under L2 risk, the ensemble
-median under L1. Every median is exact and taken by one selection pass
-(:func:`_median`), bit-identical to ``np.median``.
+whatever the lag order. Each step writes its signed roots into one row of a
+step-major ``(h, M)`` array, and the ensemble comes back as its ``(M, h)``
+transpose: each step's values are contiguous. Its step-major squares are
+reduced by :func:`aggregated_squared`, one running sum per path, to the
+per-path means at the horizons asked for, as are the GARCH bootstrap's
+paths; :func:`risk_point` reduces those to the ensemble mean under L2 risk
+and the ensemble median under L1. Every median is exact and taken by one
+selection pass (:func:`_median`), bit-identical to ``np.median``.
 """
 
 from __future__ import annotations
@@ -42,18 +43,24 @@ class Risk(str, enum.Enum):
     L2 = "L2"
 
 
-def aggregated_squared(paths: np.ndarray) -> np.ndarray:
-    """Per-path running means of squared values of an ``(M, h)`` ensemble:
-    column ``k - 1`` holds the mean of each path's first ``k`` squares."""
-    running = paths * paths
-    for k in range(1, running.shape[1]):
-        # np.cumsum(axis=1)'s sums in its order, a column at a time: cumsum
-        # loops over the short rows, several times slower at large M. The
-        # square keeps its input's layout, so on a step-major ensemble from
-        # simulate_paths each column is contiguous
-        running[:, k] += running[:, k - 1]
-    running /= np.arange(1, running.shape[1] + 1)
-    return running
+def aggregated_squared(squares: np.ndarray, horizons) -> np.ndarray:
+    """Per-path means of the first ``h`` squares, for each ``h`` of the
+    ascending ``horizons``: row ``j`` holds them for ``horizons[j]``.
+
+    ``squares`` is an ensemble's step-major ``(h, M)`` array of squared
+    values, one contiguous row per step, and is left unmodified. One
+    ``(M,)`` running sum adds the rows left to right, as ``np.cumsum`` along
+    each path does, and is divided only at the requested horizons.
+    """
+    total = squares[0].copy()
+    out = np.empty((len(horizons), total.size))
+    summed = 1
+    for row, h in zip(out, horizons):
+        for k in range(summed, h):
+            total += squares[k]
+        summed = max(summed, h)
+        np.divide(total, h, out=row)
+    return out
 
 
 def _median(values: np.ndarray, overwrite_input: bool = False):
@@ -88,11 +95,12 @@ class Statistic(str, enum.Enum):
     SQUARED_STEP = "SQUARED_STEP"
     AGGREGATED_SQUARED = "AGGREGATED_SQUARED"
 
-    def per_path(self, paths: np.ndarray) -> np.ndarray:
-        """This statistic of every path of an ``(M, h)`` ensemble."""
+    def per_path(self, squares: np.ndarray) -> np.ndarray:
+        """This statistic of every path, from an ensemble's step-major
+        ``(h, M)`` squares."""
         if self is Statistic.SQUARED_STEP:
-            return paths[:, -1] ** 2
-        return aggregated_squared(paths)[:, -1]
+            return squares[-1]
+        return aggregated_squared(squares, [len(squares)])[0]
 
 
 @dataclass(frozen=True)
@@ -151,13 +159,15 @@ def simulate_paths(
     its lag window as one running sum ``L = sum_i l_i y_{k-i}^2``, updated
     as ``L' = l_1 y_k^2 + r (L - l_p y_{k-p}^2)``: O(1) state per path
     whatever the order ``p``. The dropped ``y_{k-p}^2`` is a history value
-    for the first ``p`` steps and a row of the output buffer after that. The
-    trim guard and ``W^2 / (1 - eff W^2)`` are computed once for the whole
-    matrix before the recursion; :class:`~novas.errors.TrimBoundError` names
-    the first step that holds an untrimmed innovation.
+    for the first ``p`` steps and a row of the ``y^2`` buffer after that.
+    The trim guard and ``W^2 / (1 - eff W^2)`` are computed once for the
+    whole matrix before the recursion; :class:`~novas.errors.TrimBoundError`
+    names the first step that holds an untrimmed innovation.
 
-    Returns the ``(M, h)`` ensemble as the transpose of one step-major
-    ``(h, M)`` array, so each step's values (a column) are contiguous.
+    Step ``k`` writes its signed roots over row ``k`` of a step-major
+    ``(h, M)`` copy of the innovations, once its signs are read; the
+    ``(M, h)`` ensemble is returned as that copy's transpose, so each step's
+    values (a column) are contiguous. ``innovations`` is left unmodified.
     """
     innovations = np.atleast_2d(np.asarray(innovations, dtype=float))
     m, h = innovations.shape
@@ -168,24 +178,26 @@ def simulate_paths(
     n = history.size
     hist2 = history[-p:] ** 2
 
-    # a step-major copy of the innovations, so every step reads a contiguous
-    # row, and the one (h, M) buffer: row k holds W^2 / (1 - eff W^2) until
-    # step k turns it into y_k^2, which row k + p still reads; signed roots last
-    wt = np.ascontiguousarray(innovations.T)
-    paths = np.multiply(wt, wt, out=np.empty((h, m)))
+    # a step-major copy of the innovations, whose row k step k overwrites
+    # with its signed roots (np.array always copies; np.ascontiguousarray
+    # would return a step-major caller's own array), and the (h, M) y^2
+    # scratch: row k holds W^2 / (1 - eff W^2) until step k turns it into
+    # y_k^2, which step k + p still reads
+    wt = np.array(innovations.T, order="C")
+    y2 = np.multiply(wt, wt, out=np.empty((h, m)))
     eff = w.y2_self_coef
     if eff:
-        paths *= -eff
-        paths += 1.0
-        if paths.min() <= TRIM_GUARD:
-            k = int(np.argmax((paths <= TRIM_GUARD).any(axis=1)))
-            worst = float(wt[k, np.argmin(paths[k])])
+        y2 *= -eff
+        y2 += 1.0
+        if y2.min() <= TRIM_GUARD:
+            k = int(np.argmax((y2 <= TRIM_GUARD).any(axis=1)))
+            worst = float(wt[k, np.argmin(y2[k])])
             raise TrimBoundError(
                 f"inverse denominator <= {TRIM_GUARD} at step {k + 1}; innovation "
                 f"{worst!r} was not trimmed to the bound {w.trim_bound!r}"
             )
-        np.divide(wt, paths, out=paths)
-        paths *= wt
+        np.divide(wt, y2, out=y2)
+        y2 *= wt
 
     lag_sum = np.full(m, float(hist2[::-1] @ w.lags))
     count = n
@@ -195,23 +207,22 @@ def simulate_paths(
     core = np.empty(m)
     tmp = np.empty(m)
     for k in range(h):
-        yk2 = paths[k]
+        yk2, yk = y2[k], wt[k]
         np.multiply(s2, w.alpha, out=core)
         core += lag_sum
         yk2 *= core
         if k < p:
             lag_sum -= tail * hist2[k]
         else:
-            lag_sum -= np.multiply(paths[k - p], tail, out=tmp)
+            lag_sum -= np.multiply(y2[k - p], tail, out=tmp)
         lag_sum *= r
         lag_sum += np.multiply(yk2, head, out=tmp)
+        np.copysign(np.sqrt(yk2, out=tmp), yk, out=yk)
         if not freeze_variance:
-            np.copysign(np.sqrt(yk2, out=tmp), wt[k], out=tmp)
             count += 1
-            mean, m2 = welford_update(count, mean, m2, tmp)
+            welford_update(count, mean, m2, yk)
             np.divide(m2, count, out=s2)
-    np.copysign(np.sqrt(paths, out=paths), wt, out=paths)
-    return paths.T
+    return wt.T
 
 
 def innovation_source(ct: CalibratedTransform, kind) -> InnovationSource:
@@ -234,16 +245,17 @@ def predict(
     gen = substream(req.seed)
     draws = req.source.draw(gen, (req.paths, req.horizon))
     paths = simulate_paths(ct, draws)
-    stats = req.statistic.per_path(paths)
+    # step-major squares, one contiguous row per step, taken once
+    squares = np.square(paths.T)
+    stats = req.statistic.per_path(squares)
 
     stepwise = None
     if req.statistic is Statistic.AGGREGATED_SQUARED:
         # aggregate of per-step L1 predictors, the alternative reading of
         # the time-aggregated L1 target; reported alongside, never the point.
-        # Squares are taken step-major, one contiguous row per step, into a
-        # fresh array that each row's median partitions in place
-        steps = np.square(paths.T)
-        stepwise = float(np.mean(_median(steps, overwrite_input=True)))
+        # The per-path sums are taken, so each row's median partitions the
+        # squares in place
+        stepwise = float(np.mean(_median(squares, overwrite_input=True)))
 
     risk = Risk(req.risk)
     mean, median = risk_point(stats, Risk.L2), risk_point(stats, Risk.L1)

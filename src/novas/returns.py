@@ -151,11 +151,14 @@ def welford_update(count, mean, m2, x):
 
     ``count`` already includes ``x``; returns the new ``(mean, m2)``, and
     the variance (divisor ``count``) is ``m2 / count``. Elementwise on
-    arrays, so one call also advances a whole ensemble of paths.
+    arrays, so one call also advances a whole ensemble of paths; array
+    ``mean`` and ``m2`` are updated in place.
     """
     delta = x - mean
-    mean = mean + delta / count
-    return mean, m2 + delta * (x - mean)
+    mean += delta / count
+    delta *= x - mean
+    m2 += delta
+    return mean, m2
 
 
 def variance_path(values: np.ndarray) -> np.ndarray:

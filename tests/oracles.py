@@ -240,3 +240,14 @@ def oracle_simulate_path(history, innovations, alpha, eff, lags, freeze_variance
         values.append(y)
         path.append(y)
     return path
+
+
+def oracle_running_means(path) -> list[float]:
+    """``out[h - 1]``: the mean of the first ``h`` squares of ``path``, their
+    sum taken left to right and then divided by ``h``."""
+    out = []
+    total = 0.0
+    for h, v in enumerate(path, start=1):
+        total += float(v) * float(v)
+        out.append(total / h)
+    return out

@@ -37,6 +37,12 @@ from novas.weights import CalibrationGrid
 FAST_GRID = CalibrationGrid(ge_c_count=6, ga_step=0.2)
 
 
+def running_means(paths, horizons):
+    """Per-path means of an ``(M, h)`` ensemble's first ``h`` squares at
+    each horizon, through the library's reduction of its step-major squares."""
+    return aggregated_squared(np.square(paths.T, order="C"), horizons)
+
+
 def small_config(**overrides):
     base = dict(
         window=60,
@@ -245,20 +251,21 @@ class TestLibraryPath:
                         )
                         source = innovation_source(ct, KIND_TO_SOURCE[kind])
                         draws = source.draw(gen, (cfg.paths, h_top))
-                        aggs = aggregated_squared(simulate_paths(ct, draws))
+                        aggs = running_means(simulate_paths(ct, draws), h_here)
                         for risk in cfg.risks:
                             key = MethodKey(variant.value, alpha, risk, kind)
                             expected[key] = aggs, risk
             gen = substream(cfg.seed, novas.backtest._DOMAIN_GARCH_BOOT, w0)
             fit = fit_garch11_mle(window)
-            aggs = aggregated_squared(garch_bootstrap_paths(fit, gen, cfg.paths, h_top))
+            paths = garch_bootstrap_paths(fit, gen, cfg.paths, h_top)
             for risk in cfg.risks:
-                expected[MethodKey("GARCH_BOOT", None, risk, None)] = aggs, risk
+                key = MethodKey("GARCH_BOOT", None, risk, None)
+                expected[key] = running_means(paths, h_here), risk
             assert len(expected) == 2 * 2 * 2 * 2 + 2
             for key, (aggs, risk) in expected.items():
-                for h in h_here:
+                for h, agg in zip(h_here, aggs):
                     got = report.predictions[key][h][w0]
-                    assert got == risk_point(aggs[:, h - 1], risk), (w0, key.label(), h)
+                    assert got == risk_point(agg, risk), (w0, key.label(), h)
 
     @pytest.mark.parametrize("risk", list(Risk))
     def test_predict_and_garch_bootstrap_reduce_the_same_way(self, short_series, risk):
@@ -271,8 +278,8 @@ class TestLibraryPath:
             seed=Seed(11),
         )
         draws = req.source.draw(substream(req.seed), (req.paths, req.horizon))
-        aggs = aggregated_squared(simulate_paths(ct, draws))
-        assert predict(ct, req).point == risk_point(aggs[:, -1], risk)
+        [agg] = running_means(simulate_paths(ct, draws), [9])
+        assert predict(ct, req).point == risk_point(agg, risk)
 
         # one window whose only horizon is 9
         cfg = small_config(window=81, horizons=(9,), variants=(), risks=(risk.value,),
@@ -282,7 +289,7 @@ class TestLibraryPath:
         gen = substream(cfg.seed, novas.backtest._DOMAIN_GARCH_BOOT, 0)
         paths = garch_bootstrap_paths(fit, gen, 200, 9)
         got = report.predictions[MethodKey("GARCH_BOOT", None, risk.value, None)][9][0]
-        assert got == risk_point(aggregated_squared(paths)[:, -1], risk)
+        assert got == risk_point(running_means(paths, [9])[0], risk)
 
 
 class TestDegenerateWindows:

@@ -314,7 +314,7 @@ def bootstrap_point(fit, h, M, risk, seed):
     """The GARCH bootstrap forecast of the mean ``h``-step square, reduced
     as a backtest window reduces it."""
     paths = garch_bootstrap_paths(fit, substream(seed), M, h)
-    return risk_point(aggregated_squared(paths)[:, -1], risk)
+    return risk_point(aggregated_squared(np.square(paths.T, order="C"), [h])[0], risk)
 
 
 class TestBootstrapForecast:

@@ -64,6 +64,20 @@ class TestTrimmedNormal:
         with pytest.raises(DataError):
             sample_trimmed_normal(-1.0, 10, Seed(0))
 
+    def test_bound_below_three_refused(self):
+        # as for every InnovationSource: a tiny bound would reject nearly
+        # every raw draw and never fill the sample
+        with pytest.raises(DataError, match="< 3"):
+            sample_trimmed_normal(2.5, 10, Seed(0))
+
+    @pytest.mark.parametrize("bound", [3.0, 4.5, math.inf])
+    def test_same_bytes_as_the_rejection_stream(self, bound):
+        draws = sample_trimmed_normal(bound, 1000, Seed(5))
+        want, _ = _rejection_normal(substream(Seed(5)), bound, 1000)
+        assert draws.tobytes() == want.tobytes()
+        source = InnovationSource(SourceKind.TRIMMED_NORMAL, bound=bound)
+        assert draws.tobytes() == source.draw(substream(Seed(5)), (1000,)).tobytes()
+
 
 class TestEmpirical:
     def test_support(self):
@@ -89,6 +103,16 @@ class TestEmpirical:
         a = sample_empirical([1.0, 2.0, 3.0], 500, Seed(5))
         b = sample_empirical([1.0, 2.0, 3.0], 500, Seed(5))
         np.testing.assert_array_equal(a, b)
+
+    def test_same_bytes_as_the_choice_stream(self):
+        pool = [0.1, -0.3, 2.5, 7.0]
+        draws = sample_empirical(pool, 1000, Seed(6))
+        want = substream(Seed(6)).choice(np.array(pool), size=1000, replace=True)
+        assert draws.tobytes() == want.tobytes()
+
+    def test_count_below_one(self):
+        with pytest.raises(DataError, match="count=0 must be positive"):
+            sample_empirical([1.0], 0, Seed(0))
 
 
 class TestSubstreams:

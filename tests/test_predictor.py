@@ -29,11 +29,18 @@ from novas import (
     predict,
     simulate_paths,
 )
-from novas.predictor import _median, risk_point
-from novas.returns import variance_path
+import novas.predictor
+from novas.garch import fit_garch11_mle, garch_bootstrap_paths
+from novas.innovations import substream
+from novas.predictor import _median, aggregated_squared, risk_point
+from novas.returns import variance_path, welford_update
 from novas.simulate import ModelSpec
 
-from oracles import oracle_simulate_path, oracle_welford_variance_path
+from oracles import (
+    oracle_running_means,
+    oracle_simulate_path,
+    oracle_welford_variance_path,
+)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +110,72 @@ class TestSimulatePath:
         live = simulate_paths(ct, innovations)[0]
         frozen = simulate_paths(ct, innovations, freeze_variance=True)[0]
         assert not np.allclose(live, frozen)
+
+    @pytest.mark.parametrize("freeze", [False, True], ids=["live", "frozen"])
+    def test_layout_and_input_untouched(self, fitted, freeze):
+        # the steps write their signed roots into a step-major copy of the
+        # innovations: a step-major (Fortran-ordered) input must not be that
+        # copy, and both layouts must give the same bytes
+        ct = fitted["GA"]
+        source = innovation_source(ct, SourceKind.TRIMMED_NORMAL)
+        draws = source.draw(substream(Seed(8)), (40, 9))
+        step_major = np.asfortranarray(draws)
+        before = draws.tobytes()
+        a = simulate_paths(ct, draws, freeze_variance=freeze)
+        b = simulate_paths(ct, step_major, freeze_variance=freeze)
+        assert a.tobytes() == b.tobytes()
+        assert draws.tobytes() == before
+        assert step_major.tobytes() == before
+
+    @pytest.mark.parametrize("freeze, calls", [(False, 7), (True, 0)],
+                             ids=["live", "frozen"])
+    def test_variance_advances_through_welford_update(
+        self, fitted, monkeypatch, freeze, calls
+    ):
+        # one call per simulated step, and none when frozen: the ensemble's
+        # variance has no second copy of the recursion
+        made = []
+
+        def counting(*args):
+            made.append(args[0])
+            return welford_update(*args)
+
+        ct = fitted["GE_NO_A0"]
+        draws = np.random.default_rng(5).normal(size=(30, 7))
+        want = simulate_paths(ct, draws, freeze_variance=freeze)
+        monkeypatch.setattr(novas.predictor, "welford_update", counting)
+        got = simulate_paths(ct, draws, freeze_variance=freeze)
+        n = len(ct.history)
+        assert made == [n + k for k in range(1, calls + 1)]  # the counts
+        assert got.tobytes() == want.tobytes()
+
+
+class TestAggregatedSquared:
+    """The one reduction of every ensemble, pinned bit for bit against a
+    plain left-to-right loop."""
+
+    @pytest.fixture(scope="class")
+    def ensembles(self, fitted):
+        ct = fitted["GA"]
+        source = innovation_source(ct, SourceKind.EMPIRICAL)
+        step_major = simulate_paths(ct, source.draw(substream(Seed(2)), (120, 12)))
+        fit = fit_garch11_mle(ct.history)
+        path_major = garch_bootstrap_paths(fit, substream(Seed(2)), 120, 12)
+        assert step_major.T.flags.c_contiguous and path_major.flags.c_contiguous
+        return {"simulate_paths": step_major, "garch_bootstrap_paths": path_major}
+
+    @pytest.mark.parametrize("horizons", [[12], [1, 5, 12], list(range(1, 13)), [3]])
+    @pytest.mark.parametrize("name", ["simulate_paths", "garch_bootstrap_paths"])
+    def test_matches_plain_loop(self, ensembles, name, horizons):
+        paths = ensembles[name]
+        want = np.array([oracle_running_means(path) for path in paths])
+        for squares in (np.square(paths.T, order="C"), np.square(paths.T)):
+            before = squares.copy()
+            got = aggregated_squared(squares, horizons)
+            assert got.shape == (len(horizons), paths.shape[0])
+            for row, h in zip(got, horizons):
+                assert row.tobytes() == want[:, h - 1].tobytes(), (name, h)
+            assert squares.tobytes() == before.tobytes()
 
 
 def weights_of_order(variant, order):
@@ -255,8 +328,8 @@ class TestPredict:
         stats = np.mean(paths**2, axis=1)
         assert result.point == float(np.median(stats))
         assert result.ensemble_median == result.point
-        assert result.stepwise_l1_aggregate == pytest.approx(
-            float(np.mean(np.median(paths**2, axis=0))), rel=1e-12
+        assert result.stepwise_l1_aggregate == float(
+            np.mean(np.median(paths**2, axis=0))
         )
 
     def test_seed_reproducibility(self, fitted):
