@@ -54,11 +54,9 @@ def aggregated_squared(squares: np.ndarray, horizons) -> np.ndarray:
     """
     total = squares[0].copy()
     out = np.empty((len(horizons), total.size))
-    summed = 1
-    for row, h in zip(out, horizons):
-        for k in range(summed, h):
+    for row, start, h in zip(out, [1, *horizons], horizons):
+        for k in range(start, h):
             total += squares[k]
-        summed = max(summed, h)
         np.divide(total, h, out=row)
     return out
 
