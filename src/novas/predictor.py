@@ -162,10 +162,9 @@ def simulate_paths(
     whole matrix before the recursion; :class:`~novas.errors.TrimBoundError`
     names the first step that holds an untrimmed innovation.
 
-    Step ``k`` writes its signed roots over row ``k`` of a step-major
-    ``(h, M)`` copy of the innovations, once its signs are read; the
-    ``(M, h)`` ensemble is returned as that copy's transpose, so each step's
-    values (a column) are contiguous. ``innovations`` is left unmodified.
+    Returns the ``(M, h)`` transpose of a step-major copy of the
+    innovations whose rows the steps overwrite with their signed roots, so
+    each step's values are contiguous; ``innovations`` is left unmodified.
     """
     innovations = np.atleast_2d(np.asarray(innovations, dtype=float))
     m, h = innovations.shape
@@ -176,10 +175,9 @@ def simulate_paths(
     n = history.size
     hist2 = history[-p:] ** 2
 
-    # a step-major copy of the innovations, whose row k step k overwrites
-    # with its signed roots (np.array always copies; np.ascontiguousarray
-    # would return a step-major caller's own array), and the (h, M) y^2
-    # scratch: row k holds W^2 / (1 - eff W^2) until step k turns it into
+    # np.array always copies, where np.ascontiguousarray would hand back a
+    # step-major caller's own array for the steps to overwrite. Row k of the
+    # y^2 scratch holds W^2 / (1 - eff W^2) until step k turns it into
     # y_k^2, which step k + p still reads
     wt = np.array(innovations.T, order="C")
     y2 = np.multiply(wt, wt, out=np.empty((h, m)))

@@ -145,8 +145,9 @@ class TestSimulatePath:
         want = simulate_paths(ct, draws, freeze_variance=freeze)
         monkeypatch.setattr(novas.predictor, "welford_update", counting)
         got = simulate_paths(ct, draws, freeze_variance=freeze)
+        # step k folds in the (n + k)-th value of history plus path
         n = len(ct.history)
-        assert made == [n + k for k in range(1, calls + 1)]  # the counts
+        assert made == [n + k for k in range(1, calls + 1)]
         assert got.tobytes() == want.tobytes()
 
 
