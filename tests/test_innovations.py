@@ -75,8 +75,6 @@ class TestTrimmedNormal:
         draws = sample_trimmed_normal(bound, 1000, Seed(5))
         want, _ = _rejection_normal(substream(Seed(5)), bound, 1000)
         assert draws.tobytes() == want.tobytes()
-        source = InnovationSource(SourceKind.TRIMMED_NORMAL, bound=bound)
-        assert draws.tobytes() == source.draw(substream(Seed(5)), (1000,)).tobytes()
 
 
 class TestEmpirical:
