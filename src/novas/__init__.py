@@ -27,14 +27,11 @@ from .garch import (
     conditional_variance,
     fit_garch11_mle,
     garch_direct_forecast,
-    gaussian_loglik,
 )
 from .innovations import (
     InnovationSource,
     Seed,
     SourceKind,
-    sample_empirical,
-    sample_trimmed_normal,
     substream,
 )
 from .predictor import (
@@ -50,8 +47,6 @@ from .predictor import (
 from .returns import (
     PriceSeries,
     ReturnSeries,
-    load_price_csv,
-    load_returns_csv,
     sample_kurtosis,
     to_log_returns,
 )

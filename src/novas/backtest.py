@@ -9,11 +9,12 @@ sequences; every random stream is derived from (seed, window, method), so
 reports do not depend on the parallel schedule.
 
 A window has no forecasting code of its own: it runs the draw, simulation,
-aggregate and risk reduce of ``predict`` (the GARCH bootstrap draws its
-paths with ``garch_bootstrap_paths``) under its own substreams, on one
-ensemble per method drawn at its largest horizon. One running sum over the
+aggregate and reduce of ``predict`` (the GARCH bootstrap draws its paths
+with ``garch_bootstrap_paths``) under its own substreams, on one ensemble
+per method drawn at its largest horizon. One running sum over the
 ensemble's step-major squares gives the per-path means at every horizon of
-the window.
+the window, and one ``ensemble_points`` call reduces them to the L2 and L1
+points at every horizon.
 
 Windows are independent, so they run in a pool of forked worker processes
 (``BacktestConfig.threads`` of them, by default one per usable CPU). Fork
@@ -42,8 +43,8 @@ from .predictor import (
     Risk,
     aggregated_squared,
     check_paths,
+    ensemble_points,
     innovation_source,
-    risk_point,
     simulate_paths,
 )
 from .returns import ReturnSeries
@@ -225,9 +226,11 @@ def _run_window(
                 draws = source.draw(gen, (cfg.paths, h_top))
                 paths = simulate_paths(ct, draws)
                 aggs = aggregated_squared(np.square(paths.T), h_here)
+                means, medians = ensemble_points(aggs)
                 for risk in cfg.risks:
                     key = MethodKey(variant.value, alpha, risk, kind)
-                    preds[key] = {h: risk_point(a, risk) for h, a in zip(h_here, aggs)}
+                    points = means if Risk(risk) is Risk.L2 else medians
+                    preds[key] = dict(zip(h_here, points))
 
     try:
         fit = fit_garch11_mle(window_returns)
@@ -243,9 +246,11 @@ def _run_window(
             gen = substream(cfg.seed, _DOMAIN_GARCH_BOOT, w0)
             paths = garch_bootstrap_paths(fit, gen, cfg.paths, h_top)
             aggs = aggregated_squared(np.square(paths.T, order="C"), h_here)
+            means, medians = ensemble_points(aggs)
             for risk in cfg.risks:
                 key = MethodKey("GARCH_BOOT", None, risk, None)
-                preds[key] = {h: risk_point(a, risk) for h, a in zip(h_here, aggs)}
+                points = means if Risk(risk) is Risk.L2 else medians
+                preds[key] = dict(zip(h_here, points))
     return preds, dead_families
 
 

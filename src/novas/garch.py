@@ -127,28 +127,6 @@ def _loglik(y2: np.ndarray, sig2: np.ndarray) -> float:
     return float(-0.5 * np.sum(_LOG_2PI + np.log(sig2) + y2 / sig2))
 
 
-def gaussian_loglik(
-    params: GarchParams, values: np.ndarray, sigma2_init: float | None = None
-) -> float:
-    """Gaussian conditional log-likelihood, first observation included."""
-    if sigma2_init is None:
-        sigma2_init = float(np.var(values))
-    return _loglik(values * values, conditional_variance(params, values, sigma2_init))
-
-
-def garch_score(
-    params: GarchParams, values: np.ndarray, sigma2_init: float | None = None
-) -> tuple[float, np.ndarray]:
-    """:func:`gaussian_loglik` and its score, the gradient in
-    ``(omega, alpha1, beta1)``."""
-    if sigma2_init is None:
-        sigma2_init = float(np.var(values))
-    sig2 = conditional_variance(params, values, sigma2_init)
-    y2 = values * values
-    grad, _, _ = _derivatives(params.beta1, y2, sig2)
-    return _loglik(y2, sig2), np.array(grad)
-
-
 def _derivatives(beta1: float, y2: np.ndarray, sig2: np.ndarray):
     """Gradient, Hessian and outer product of the per-observation scores of
     the log-likelihood in ``(omega, alpha1, beta1)``, as Python floats."""

@@ -108,27 +108,3 @@ def _rejection_normal(
         out[filled : filled + take] = kept[:take]
         filled += take
     return out, attempts
-
-
-def sample_trimmed_normal(bound: float, count: int, seed) -> np.ndarray:
-    """i.i.d. standard normal draws conditioned on ``|w| <= bound``.
-
-    ``bound = inf`` gives the plain standard normal; a finite bound must be
-    at least 3, as for every :class:`InnovationSource`. Deterministic given
-    the seed.
-    """
-    source = InnovationSource(SourceKind.TRIMMED_NORMAL, bound=bound)
-    return _sample(source, count, seed)
-
-
-def sample_empirical(pool, count: int, seed) -> np.ndarray:
-    """i.i.d. uniform draws with replacement from ``pool``; deterministic given seed."""
-    source = InnovationSource(SourceKind.EMPIRICAL, residual_pool=pool)
-    return _sample(source, count, seed)
-
-
-def _sample(source: InnovationSource, count: int, seed) -> np.ndarray:
-    """``count`` draws of ``source`` from the stream of ``seed``."""
-    if count < 1:
-        raise DataError(f"count={count} must be positive")
-    return source.draw(substream(seed), (count,))

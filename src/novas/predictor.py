@@ -10,9 +10,10 @@ step-major ``(h, M)`` array, and the ensemble comes back as its ``(M, h)``
 transpose: each step's values are contiguous. Its step-major squares are
 reduced by :func:`aggregated_squared`, one running sum per path, to the
 per-path means at the horizons asked for, as are the GARCH bootstrap's
-paths; :func:`risk_point` reduces those to the ensemble mean under L2 risk
-and the ensemble median under L1. Every median is exact and taken by one
-selection pass (:func:`_median`), bit-identical to ``np.median``.
+paths; one :func:`ensemble_points` call per ensemble reduces those rows to
+the ensemble means (the L2 points) and medians (the L1 points) at every
+horizon. Every median is exact and taken by one selection pass
+(:func:`_median`), bit-identical to ``np.median``.
 """
 
 from __future__ import annotations
@@ -83,10 +84,17 @@ def _median(values: np.ndarray, overwrite_input: bool = False):
     return np.where(np.isnan(top), top, mid)
 
 
-def risk_point(stats: np.ndarray, risk) -> float:
-    """Risk-optimal point of per-path statistics: the ensemble mean under L2,
-    the ensemble median under L1. ``stats`` is left unmodified."""
-    return float(np.mean(stats) if Risk(risk) is Risk.L2 else _median(stats))
+def ensemble_points(rows: np.ndarray) -> tuple[list[float], list[float]]:
+    """The risk-optimal points of an ``(H, M)`` matrix of per-path
+    statistics, one row per horizon: the row means (the L2 points), then the
+    exact row medians (the L1 points), as Python floats.
+
+    Each mean is bit-identical to ``np.mean`` of its row. The means are taken
+    first, because the medians' one selection pass partitions ``rows`` in
+    place.
+    """
+    means = rows.mean(axis=1).tolist()
+    return means, _median(rows, overwrite_input=True).tolist()
 
 
 class Statistic(str, enum.Enum):
@@ -94,11 +102,11 @@ class Statistic(str, enum.Enum):
     AGGREGATED_SQUARED = "AGGREGATED_SQUARED"
 
     def per_path(self, squares: np.ndarray) -> np.ndarray:
-        """This statistic of every path, from an ensemble's step-major
-        ``(h, M)`` squares."""
+        """This statistic of every path as a ``(1, M)`` row, from an
+        ensemble's step-major ``(h, M)`` squares."""
         if self is Statistic.SQUARED_STEP:
-            return squares[-1]
-        return aggregated_squared(squares, [len(squares)])[0]
+            return squares[-1:]
+        return aggregated_squared(squares, [len(squares)])
 
 
 @dataclass(frozen=True)
@@ -207,13 +215,16 @@ def simulate_paths(
         np.multiply(s2, w.alpha, out=core)
         core += lag_sum
         yk2 *= core
+        np.copysign(np.sqrt(yk2, out=tmp), yk, out=yk)
+        if k + 1 == h:
+            # nothing reads the lag window or the variance after the last step
+            break
         if k < p:
             lag_sum -= tail * hist2[k]
         else:
             lag_sum -= np.multiply(y2[k - p], tail, out=tmp)
         lag_sum *= r
         lag_sum += np.multiply(yk2, head, out=tmp)
-        np.copysign(np.sqrt(yk2, out=tmp), yk, out=yk)
         if not freeze_variance:
             count += 1
             welford_update(count, mean, m2, yk)
@@ -229,21 +240,19 @@ def innovation_source(ct: CalibratedTransform, kind) -> InnovationSource:
     return InnovationSource(kind, bound=ct.weights.trim_bound)
 
 
-def predict(
-    ct: CalibratedTransform, req: ForecastRequest, return_paths: bool = False
-):
+def predict(ct: CalibratedTransform, req: ForecastRequest) -> ForecastResult:
     """Risk-optimal predictor of the requested path statistic.
 
     Draws ``paths x horizon`` innovations from the request's source, runs the
     ensemble, applies the statistic per path, and reduces with the exact mean
-    (L2) or exact median (L1). Fully determined by ``(seed, request, ct)``.
+    (L2) and exact median (L1). Fully determined by ``(seed, request, ct)``.
     """
     gen = substream(req.seed)
     draws = req.source.draw(gen, (req.paths, req.horizon))
     paths = simulate_paths(ct, draws)
     # step-major squares, one contiguous row per step, taken once
     squares = np.square(paths.T)
-    stats = req.statistic.per_path(squares)
+    (mean,), (median,) = ensemble_points(req.statistic.per_path(squares))
 
     stepwise = None
     if req.statistic is Statistic.AGGREGATED_SQUARED:
@@ -254,8 +263,7 @@ def predict(
         stepwise = float(np.mean(_median(squares, overwrite_input=True)))
 
     risk = Risk(req.risk)
-    mean, median = risk_point(stats, Risk.L2), risk_point(stats, Risk.L1)
-    result = ForecastResult(
+    return ForecastResult(
         point=mean if risk is Risk.L2 else median,
         ensemble_mean=mean,
         ensemble_median=median,
@@ -266,9 +274,6 @@ def predict(
         seed=req.seed,
         stepwise_l1_aggregate=stepwise,
     )
-    if return_paths:
-        return result, paths
-    return result
 
 
 def forecast_json(

@@ -127,18 +127,6 @@ def read_csv_series(path, columns) -> PriceSeries | ReturnSeries:
     return ReturnSeries(np.asarray(values))
 
 
-def load_price_csv(path, column: str = "close") -> PriceSeries:
-    """Read a price series from a headered CSV file (see
-    :func:`read_csv_series`)."""
-    return read_csv_series(path, [(column, "price")])
-
-
-def load_returns_csv(path, column: str = "return") -> ReturnSeries:
-    """Read an already-computed return series from a headered CSV file (see
-    :func:`read_csv_series`)."""
-    return read_csv_series(path, [(column, "return")])
-
-
 def to_log_returns(p: PriceSeries) -> ReturnSeries:
     """Percent log-returns: ``values[t] = 100 * ln(prices[t+1] / prices[t])``."""
     if len(p) < 2:

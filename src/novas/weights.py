@@ -177,7 +177,6 @@ def build_weights(
     alpha: float,
     shape,
     order: int,
-    enforce_admissible: bool = True,
 ) -> NovasWeights:
     """Construct the weight set for one grid point.
 
@@ -189,9 +188,7 @@ def build_weights(
     ``a0 = (1 - alpha - sum(lags)) * (1 - b1)``.
 
     Raises :class:`InfeasibleWeightsError` naming the violated constraint
-    (negative solved ``a0``, trimming bound, GA dominance). Pass
-    ``enforce_admissible=False`` to inspect an inadmissible point (it still
-    cannot feed Monte-Carlo prediction: its trim bound falls below 3).
+    (negative solved ``a0``, trimming bound, GA dominance).
     """
     if not 0.0 < alpha < 1.0:
         raise InfeasibleWeightsError("alpha", f"alpha={alpha} not in (0,1)")
@@ -225,8 +222,7 @@ def build_weights(
         a0, lags = (float(weights[0]), weights[1:]) if variant.keeps_a0 else (0.0, weights)
         if variant is NovasVariant.GA_NO_A0:
             shape = (float(lags[0]), b1)
-    built = NovasWeights(variant, alpha, a0, lags, order, shape)
-    return built.check_admissible() if enforce_admissible else built
+    return NovasWeights(variant, alpha, a0, lags, order, shape).check_admissible()
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,11 @@ from scipy.stats import norm
 
 from novas import (
     BacktestConfig,
+    InnovationSource,
     NovasVariant,
     ReturnSeries,
     Seed,
+    SourceKind,
     build_weights,
     calibrate,
     fit_garch11_mle,
@@ -25,8 +27,6 @@ from novas import (
     inverse_step,
     relative_report,
     run_rolling_poos,
-    sample_empirical,
-    sample_trimmed_normal,
     substream,
 )
 from novas.backtest import format_table
@@ -143,20 +143,25 @@ def test_criterion_03_calibration_efficacy():
 
 
 def test_criterion_04_sampler_suite():
+    def trimmed_normal(bound, count, seed):
+        source = InnovationSource(SourceKind.TRIMMED_NORMAL, bound=bound)
+        return source.draw(substream(seed), (count,))
+
     with timer() as t:
-        draws = sample_trimmed_normal(3.0, 10**5, Seed(0))
+        draws = trimmed_normal(3.0, 10**5, Seed(0))
         assert np.abs(draws).max() <= 3.0
-        free = sample_trimmed_normal(math.inf, 10**6, Seed(1))
+        free = trimmed_normal(math.inf, 10**6, Seed(1))
         assert abs(free.mean()) < 0.005
         assert abs(free.var() - 1.0) < 0.01
         _, attempts = _rejection_normal(substream(Seed(7)), 3.0, 10**6)
         rate = 10**6 / attempts
         assert abs(rate - (norm.cdf(3.0) - norm.cdf(-3.0))) < 0.002
-        boot = sample_empirical([-1.0, 1.0], 10**6, Seed(11))
+        coin = InnovationSource(SourceKind.EMPIRICAL, residual_pool=[-1.0, 1.0])
+        boot = coin.draw(substream(Seed(11)), (10**6,))
         assert abs(np.mean(boot == 1.0) - 0.5) < 0.005
         np.testing.assert_array_equal(
-            sample_trimmed_normal(3.0, 1000, Seed(5)),
-            sample_trimmed_normal(3.0, 1000, Seed(5)),
+            trimmed_normal(3.0, 1000, Seed(5)),
+            trimmed_normal(3.0, 1000, Seed(5)),
         )
     report_line(4, "innovation samplers", t.elapsed, 60)
     assert t.elapsed < 60

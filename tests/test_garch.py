@@ -16,16 +16,25 @@ from novas import (
     conditional_variance,
     fit_garch11_mle,
     garch_direct_forecast,
-    gaussian_loglik,
     generate,
     substream,
 )
 import novas.garch as garch
-from novas.garch import _STARTS, garch_bootstrap_paths, garch_score
-from novas.predictor import aggregated_squared, risk_point
+from novas.garch import _STARTS, _derivatives, _loglik, garch_bootstrap_paths
+from novas.predictor import aggregated_squared
 from novas.simulate import ModelSpec
 
 from oracles import oracle_garch_loglik
+
+
+def loglik_and_score(params, values, sigma2_init):
+    """The Gaussian conditional log-likelihood, first observation included,
+    and its gradient in ``(omega, alpha1, beta1)``, as the fit evaluates
+    them."""
+    sig2 = conditional_variance(params, values, sigma2_init)
+    y2 = values * values
+    grad, _, _ = _derivatives(params.beta1, y2, sig2)
+    return _loglik(y2, sig2), np.array(grad)
 
 
 class TestParams:
@@ -47,7 +56,7 @@ class TestLikelihood:
             alpha1 = float(rng.uniform(0.0, 0.3))
             beta1 = float(rng.uniform(0.0, 0.95 - alpha1))
             params = GarchParams(omega, alpha1, beta1)
-            fast = gaussian_loglik(params, values, init)
+            fast, _ = loglik_and_score(params, values, init)
             slow = oracle_garch_loglik(values, omega, alpha1, beta1, init)
             assert fast == pytest.approx(slow, rel=1e-8)
 
@@ -89,7 +98,7 @@ class TestFit:
                 persistence * share,
                 persistence * (1.0 - share),
             )
-            assert fit.loglik >= gaussian_loglik(start, values, sample_var) - 1e-9
+            assert fit.loglik >= loglik_and_score(start, values, sample_var)[0] - 1e-9
 
     def test_short_series_rejected(self):
         with pytest.raises(DataError):
@@ -124,7 +133,7 @@ class TestScore:
                 persistence * share,
                 persistence * (1.0 - share),
             ])
-            ll, score = garch_score(GarchParams(*point), values, init)
+            ll, score = loglik_and_score(GarchParams(*point), values, init)
             oracle = oracle_garch_loglik(values, *point, init)
             assert ll == pytest.approx(oracle, rel=1e-12)
             numeric = np.empty(3)
@@ -139,15 +148,6 @@ class TestScore:
                 numeric[i] = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * step[i])
             np.testing.assert_allclose(score, numeric, rtol=1e-6)
 
-    def test_matches_loglik_with_sample_variance_default(self):
-        values = generate(ModelSpec(model="M3", n=300, seed=Seed(5))).values
-        params = GarchParams(2e-5, 0.1, 0.7)
-        ll, score = garch_score(params, values)
-        assert ll == gaussian_loglik(params, values)
-        np.testing.assert_array_equal(
-            score, garch_score(params, values, float(np.var(values)))[1]
-        )
-
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_interior_optimum_is_stationary(self, seed):
         y = generate(ModelSpec(model="M3", n=400, seed=Seed(seed)))
@@ -155,7 +155,8 @@ class TestScore:
         assert fit.converged and not fit.persistence_at_bound
         p = fit.params
         # gradient in (log omega, log alpha1, log beta1)
-        scaled = garch_score(p, y.values)[1] * np.array([p.omega, p.alpha1, p.beta1])
+        score = loglik_and_score(p, y.values, float(np.var(y.values)))[1]
+        scaled = score * np.array([p.omega, p.alpha1, p.beta1])
         assert np.all(np.abs(scaled) < 1e-4)
 
     def test_bound_optimum_points_outward(self):
@@ -164,7 +165,7 @@ class TestScore:
         fit = fit_garch11_mle(ReturnSeries(values))
         assert fit.persistence_at_bound
         p = fit.params
-        g_omega, g_alpha, g_beta = garch_score(p, values)[1]
+        g_omega, g_alpha, g_beta = loglik_and_score(p, values, float(np.var(values)))[1]
         persistence = p.alpha1 + p.beta1
         share = p.alpha1 / persistence
         # the likelihood still rises along the persistence direction, and
@@ -314,7 +315,8 @@ def bootstrap_point(fit, h, M, risk, seed):
     """The GARCH bootstrap forecast of the mean ``h``-step square, reduced
     as a backtest window reduces it."""
     paths = garch_bootstrap_paths(fit, substream(seed), M, h)
-    return risk_point(aggregated_squared(np.square(paths.T, order="C"), [h])[0], risk)
+    stats = aggregated_squared(np.square(paths.T, order="C"), [h])[0]
+    return float(np.mean(stats) if risk is Risk.L2 else np.median(stats))
 
 
 class TestBootstrapForecast:

@@ -1,5 +1,5 @@
-"""Modules of the package use only each other's public names, and none of
-them needs scipy."""
+"""Modules of the package use only each other's public names, every public
+name has a caller outside the tests, and none of them needs scipy."""
 
 import ast
 import os
@@ -117,3 +117,43 @@ def test_one_median_path(path):
         for alias in node.names if alias.name in ORDER_STATISTICS
     ]
     assert not calls, calls
+
+
+# a public function or class that no code of the program names is an entry
+# point that only tests reach; each allowed one says why it stays
+TEST_ONLY = {
+    # the scalar inverse step: the reference the tests compare simulate_paths
+    # against, step by step
+    "inverse_step",
+}
+CALLERS = [
+    *(p for p in SOURCES if p.name != "__init__.py"),
+    *sorted((SRC.parent / "scripts").glob("*.py")),
+    *sorted((SRC.parent / "perfbench").glob("*.py")),
+]
+
+
+def _names_used(tree) -> set[str]:
+    """Every name, attribute and imported name in a module's code."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    used = set().union(*(_names_used(ast.parse(p.read_text())) for p in CALLERS))
+    public = [
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    unused = [name for name in public if name.split(".")[1] not in used | TEST_ONLY]
+    assert not unused, unused

@@ -11,11 +11,21 @@ from novas import (
     InnovationSource,
     Seed,
     SourceKind,
-    sample_empirical,
-    sample_trimmed_normal,
     substream,
 )
 from novas.innovations import _rejection_normal
+
+
+def trimmed_normal(bound, count, seed):
+    """``count`` trimmed-normal draws from the stream of ``seed``."""
+    source = InnovationSource(SourceKind.TRIMMED_NORMAL, bound=bound)
+    return source.draw(substream(seed), (count,))
+
+
+def empirical(pool, count, seed):
+    """``count`` draws from ``pool`` from the stream of ``seed``."""
+    source = InnovationSource(SourceKind.EMPIRICAL, residual_pool=pool)
+    return source.draw(substream(seed), (count,))
 
 
 class TestSeed:
@@ -32,21 +42,21 @@ class TestSeed:
 
 class TestTrimmedNormal:
     def test_support(self):
-        draws = sample_trimmed_normal(3.0, 10**5, Seed(0))
+        draws = trimmed_normal(3.0, 10**5, Seed(0))
         assert draws.size == 10**5
         assert np.abs(draws).max() <= 3.0
 
     def test_unbounded_moments(self):
         # oracle: N(0,1) mean 0 (se ~ 0.001), variance 1 (se ~ 0.0014)
-        draws = sample_trimmed_normal(math.inf, 10**6, Seed(1))
+        draws = trimmed_normal(math.inf, 10**6, Seed(1))
         assert abs(draws.mean()) < 0.005
         assert abs(draws.var() - 1.0) < 0.01
 
     def test_seed_determinism(self):
-        a = sample_trimmed_normal(3.0, 5000, Seed(42))
-        b = sample_trimmed_normal(3.0, 5000, Seed(42))
+        a = trimmed_normal(3.0, 5000, Seed(42))
+        b = trimmed_normal(3.0, 5000, Seed(42))
         np.testing.assert_array_equal(a, b)
-        c = sample_trimmed_normal(3.0, 5000, Seed(43))
+        c = trimmed_normal(3.0, 5000, Seed(43))
         assert not np.array_equal(a, c)
 
     def test_acceptance_rate_matches_normal_mass(self):
@@ -60,19 +70,17 @@ class TestTrimmedNormal:
 
     def test_invalid_args(self):
         with pytest.raises(DataError):
-            sample_trimmed_normal(3.0, 0, Seed(0))
-        with pytest.raises(DataError):
-            sample_trimmed_normal(-1.0, 10, Seed(0))
+            trimmed_normal(-1.0, 10, Seed(0))
 
     def test_bound_below_three_refused(self):
         # as for every InnovationSource: a tiny bound would reject nearly
         # every raw draw and never fill the sample
         with pytest.raises(DataError, match="< 3"):
-            sample_trimmed_normal(2.5, 10, Seed(0))
+            trimmed_normal(2.5, 10, Seed(0))
 
     @pytest.mark.parametrize("bound", [3.0, 4.5, math.inf])
     def test_same_bytes_as_the_rejection_stream(self, bound):
-        draws = sample_trimmed_normal(bound, 1000, Seed(5))
+        draws = trimmed_normal(bound, 1000, Seed(5))
         want, _ = _rejection_normal(substream(Seed(5)), bound, 1000)
         assert draws.tobytes() == want.tobytes()
 
@@ -80,37 +88,33 @@ class TestTrimmedNormal:
 class TestEmpirical:
     def test_support(self):
         pool = np.array([-2.0, 0.5, 1.5])
-        draws = sample_empirical(pool, 1000, Seed(3))
+        draws = empirical(pool, 1000, Seed(3))
         assert set(np.unique(draws)) <= set(pool)
 
     def test_single_element_pool(self):
-        draws = sample_empirical([4.2], 100, Seed(0))
+        draws = empirical([4.2], 100, Seed(0))
         assert np.all(draws == 4.2)
 
     def test_frequencies(self):
         # oracle: Binomial(1e6, 1/2) frequency, se = 0.0005
-        draws = sample_empirical([-1.0, 1.0], 10**6, Seed(11))
+        draws = empirical([-1.0, 1.0], 10**6, Seed(11))
         share = np.mean(draws == 1.0)
         assert share == pytest.approx(0.5, abs=0.005)
 
     def test_empty_pool(self):
         with pytest.raises(DataError):
-            sample_empirical([], 10, Seed(0))
+            empirical([], 10, Seed(0))
 
     def test_seed_determinism(self):
-        a = sample_empirical([1.0, 2.0, 3.0], 500, Seed(5))
-        b = sample_empirical([1.0, 2.0, 3.0], 500, Seed(5))
+        a = empirical([1.0, 2.0, 3.0], 500, Seed(5))
+        b = empirical([1.0, 2.0, 3.0], 500, Seed(5))
         np.testing.assert_array_equal(a, b)
 
     def test_same_bytes_as_the_choice_stream(self):
         pool = [0.1, -0.3, 2.5, 7.0]
-        draws = sample_empirical(pool, 1000, Seed(6))
+        draws = empirical(pool, 1000, Seed(6))
         want = substream(Seed(6)).choice(np.array(pool), size=1000, replace=True)
         assert draws.tobytes() == want.tobytes()
-
-    def test_count_below_one(self):
-        with pytest.raises(DataError, match="count=0 must be positive"):
-            sample_empirical([1.0], 0, Seed(0))
 
 
 class TestSubstreams:

@@ -32,7 +32,7 @@ from novas import (
 import novas.predictor
 from novas.garch import fit_garch11_mle, garch_bootstrap_paths
 from novas.innovations import substream
-from novas.predictor import _median, aggregated_squared, risk_point
+from novas.predictor import _median, aggregated_squared, ensemble_points
 from novas.returns import variance_path, welford_update
 from novas.simulate import ModelSpec
 
@@ -127,13 +127,14 @@ class TestSimulatePath:
         assert draws.tobytes() == before
         assert step_major.tobytes() == before
 
-    @pytest.mark.parametrize("freeze, calls", [(False, 7), (True, 0)],
+    @pytest.mark.parametrize("freeze, calls", [(False, 6), (True, 0)],
                              ids=["live", "frozen"])
     def test_variance_advances_through_welford_update(
         self, fitted, monkeypatch, freeze, calls
     ):
-        # one call per simulated step, and none when frozen: the ensemble's
-        # variance has no second copy of the recursion
+        # one call per simulated step but the last, whose variance nothing
+        # reads, and none when frozen: the ensemble's variance has no second
+        # copy of the recursion
         made = []
 
         def counting(*args):
@@ -278,16 +279,38 @@ class TestExactMedian:
         assert np.isnan(_median(x[3]))
         assert same_bits(_median(x), np.median(x, axis=1))
 
-    @settings(max_examples=50)
-    @given(arrays(float, st.integers(100, 400), elements=st.one_of(FINITE, TIED)))
-    def test_risk_point_leaves_input_unmodified(self, stats):
-        # a backtest window reduces one aggregate column under L1, then under
-        # L2: a reordered column would change np.mean's pairwise sum
-        column = stats.copy()
-        assert risk_point(column, Risk.L1) == float(np.median(stats))
-        assert same_bits(column, stats)
+
+class TestEnsemblePoints:
+    """The one reduction of every ensemble's per-path statistics: means bit
+    for bit as ``np.mean`` of each untouched row, medians as ``np.median``."""
+
+    @staticmethod
+    def check(rows):
+        before = rows.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            assert same_bits(risk_point(column, Risk.L2), float(np.mean(stats)))
+            means, medians = ensemble_points(rows)
+            want_means = [np.mean(row) for row in before]
+            want_medians = np.median(before, axis=1)
+        assert all(type(v) is float for v in means + medians)
+        assert same_bits(means, want_means)
+        assert same_bits(medians, want_medians)
+
+    @settings(max_examples=100)
+    @given(arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 400)),
+                  elements=st.one_of(FINITE, TIED)))
+    def test_matches_numpy(self, rows):
+        self.check(rows)
+
+    @pytest.mark.parametrize("m", [1000, 1001, 5000, 5001])
+    def test_ensemble_sizes(self, m):
+        rng = np.random.default_rng(m)
+        self.check(np.round(rng.standard_normal((3, m)) ** 2, 2))
+
+
+def ensemble(ct, req):
+    """The paths that ``predict`` simulates for ``req``."""
+    draws = req.source.draw(substream(req.seed), (req.paths, req.horizon))
+    return simulate_paths(ct, draws)
 
 
 class TestPredict:
@@ -312,7 +335,7 @@ class TestPredict:
             risk=Risk.L2,
             seed=Seed(4),
         )
-        result, paths = predict(ct, req, return_paths=True)
+        result, paths = predict(ct, req), ensemble(ct, req)
         step_l2 = np.mean(paths**2, axis=0)
         assert result.point == pytest.approx(float(step_l2.mean()), rel=1e-12)
 
@@ -325,7 +348,7 @@ class TestPredict:
             risk=Risk.L1,
             seed=Seed(9),
         )
-        result, paths = predict(ct, req, return_paths=True)
+        result, paths = predict(ct, req), ensemble(ct, req)
         stats = np.mean(paths**2, axis=1)
         assert result.point == float(np.median(stats))
         assert result.ensemble_median == result.point
@@ -354,7 +377,7 @@ class TestPredict:
                     paths=300,
                     seed=Seed(5),
                 )
-                result, paths = predict(ct, req, return_paths=True)
+                result, paths = predict(ct, req), ensemble(ct, req)
                 stats = np.mean(paths**2, axis=1)
                 assert result.point >= 0.0
                 assert stats.min() <= result.ensemble_median <= stats.max()
@@ -372,7 +395,7 @@ class TestPredict:
             statistic=statistic,
             seed=Seed(2),
         )
-        result, paths = predict(ct, req, return_paths=True)
+        result, paths = predict(ct, req), ensemble(ct, req)
         assert result.point == pytest.approx(float(np.mean(paths[:, -1] ** 2)), rel=1e-12)
         assert result.stepwise_l1_aggregate is None
         assert result.statistic == "SQUARED_STEP"
@@ -415,7 +438,7 @@ class TestPredict:
                 paths=300,
                 seed=Seed(8),
             )
-            result, paths = predict(ct, req, return_paths=True)
+            result, paths = predict(ct, req), ensemble(ct, req)
             assert np.all(np.isfinite(paths))
             w_max = float(np.abs(ct.residuals).max())
             for m in range(0, 300, 50):

@@ -10,12 +10,10 @@ from novas import (
     DataError,
     PriceSeries,
     ReturnSeries,
-    load_price_csv,
-    load_returns_csv,
     sample_kurtosis,
     to_log_returns,
 )
-from novas.returns import variance_path
+from novas.returns import read_csv_series, variance_path
 
 
 def write_csv(tmp_path, text, name="prices.csv"):
@@ -24,10 +22,18 @@ def write_csv(tmp_path, text, name="prices.csv"):
     return path
 
 
+def read_prices(path, column="close"):
+    return read_csv_series(path, [(column, "price")])
+
+
+def read_returns(path, column="return"):
+    return read_csv_series(path, [(column, "return")])
+
+
 class TestLoadPriceCsv:
     def test_two_rows(self, tmp_path):
         path = write_csv(tmp_path, "date,close\n2020-01-01,100.0\n2020-01-02,105.0\n")
-        series = load_price_csv(path)
+        series = read_prices(path)
         assert len(series) == 2
         assert series.prices.tolist() == [100.0, 105.0]
         assert series.timestamps == ("2020-01-01", "2020-01-02")
@@ -35,30 +41,30 @@ class TestLoadPriceCsv:
     def test_negative_price_names_row(self, tmp_path):
         path = write_csv(tmp_path, "close\n100.0\n-1.0\n102.0\n")
         with pytest.raises(DataError, match="row 3"):
-            load_price_csv(path)
+            read_prices(path)
 
     def test_non_numeric_names_row(self, tmp_path):
         path = write_csv(tmp_path, "close\n100.0\noops\n")
         with pytest.raises(DataError, match="row 3"):
-            load_price_csv(path)
+            read_prices(path)
 
     def test_header_only(self, tmp_path):
         path = write_csv(tmp_path, "close\n")
         with pytest.raises(DataError, match="fewer than 2 prices"):
-            load_price_csv(path)
+            read_prices(path)
 
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path, "open\n1.0\n2.0\n")
         with pytest.raises(DataError, match="'close' not found"):
-            load_price_csv(path)
+            read_prices(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
-            load_price_csv(tmp_path / "nope.csv")
+            read_prices(tmp_path / "nope.csv")
 
     def test_custom_column(self, tmp_path):
         path = write_csv(tmp_path, "px,close\n7.0,1.0\n8.0,1.0\n")
-        series = load_price_csv(path, column="px")
+        series = read_prices(path, column="px")
         assert series.prices.tolist() == [7.0, 8.0]
 
 
@@ -66,28 +72,28 @@ class TestLoadReturnsCsv:
     def test_quoted_header(self, tmp_path):
         # R's write.csv quotes its column names
         path = write_csv(tmp_path, '"index","return"\n"1",0.5\n"2",-1.25\n', "r.csv")
-        assert load_returns_csv(path).values.tolist() == [0.5, -1.25]
+        assert read_returns(path).values.tolist() == [0.5, -1.25]
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     def test_non_finite_names_row(self, tmp_path, raw):
         # the row is named by its line in the file, blank lines included
         path = write_csv(tmp_path, f"return\n0.5\n\n0.1\n{raw}\n", "r.csv")
         with pytest.raises(DataError, match=f"row 5: return '{raw}' is not finite"):
-            load_returns_csv(path)
+            read_returns(path)
 
     def test_empty_value_names_row(self, tmp_path):
         path = write_csv(tmp_path, "return,x\n0.5,1\n,2\n", "r.csv")
         with pytest.raises(DataError, match="row 3: return '' is not numeric"):
-            load_returns_csv(path)
+            read_returns(path)
 
     def test_header_only(self, tmp_path):
         with pytest.raises(DataError, match="no returns"):
-            load_returns_csv(write_csv(tmp_path, "return\n", "r.csv"))
+            read_returns(write_csv(tmp_path, "return\n", "r.csv"))
 
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path, "close\n1.0\n", "r.csv")
         with pytest.raises(DataError, match="'return' not found"):
-            load_returns_csv(path)
+            read_returns(path)
 
 
 class TestToLogReturns:

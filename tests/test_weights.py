@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from novas import A0_MAX, InfeasibleWeightsError, NovasVariant, build_weights
 from novas.transform import _candidate_table
+from novas.weights import lag_profile
 from novas.weights import CalibrationGrid
 
 from oracles import oracle_ga_budget
@@ -27,9 +30,9 @@ class TestGeFamily:
         with pytest.raises(InfeasibleWeightsError) as err:
             build_weights(NovasVariant.GE, 0.2, 0.0, 4)
         assert err.value.reason == "a0_bound"
-        w = build_weights(NovasVariant.GE, 0.2, 0.0, 4, enforce_admissible=False)
-        assert w.a0 == pytest.approx(0.16, abs=1e-15)
-        np.testing.assert_allclose(w.lags, np.full(4, 0.16), rtol=1e-14)
+        # intercept weight first, then the four lags
+        weights = (1.0 - 0.2) * lag_profile(NovasVariant.GE, (0.0,), 4)
+        np.testing.assert_allclose(weights, np.full(5, 0.16), rtol=1e-14)
 
     def test_no_a0_variant_has_zero_intercept(self):
         w = build_weights(NovasVariant.GE_NO_A0, 0.3, 1.2, 5)
@@ -52,9 +55,11 @@ class TestGaFamily:
         with pytest.raises(InfeasibleWeightsError) as err:
             build_weights(NovasVariant.GA, 0.1, (0.3, 0.5), 2)
         assert err.value.reason == "a0_bound"
-        w = build_weights(NovasVariant.GA, 0.1, (0.3, 0.5), 2, enforce_admissible=False)
-        assert w.a0 == pytest.approx(0.225, abs=1e-15)
-        np.testing.assert_allclose(w.lags, [0.3, 0.15], rtol=1e-14)
+        budget, admissible = oracle_ga_budget(0.1, 0.3, 0.5, 2)
+        assert budget * (1 - 0.5) == pytest.approx(0.225, abs=1e-15)
+        assert not admissible
+        lags = lag_profile(NovasVariant.GA, (0.3, 0.5), 2)
+        np.testing.assert_allclose(lags, [0.3, 0.15], rtol=1e-14)
 
     def test_accepted_point_satisfies_constraint(self):
         w = build_weights(NovasVariant.GA, 0.5, (0.02, 0.98), 30)
@@ -86,8 +91,9 @@ class TestGaFamily:
         with pytest.raises(InfeasibleWeightsError) as err:
             build_weights(NovasVariant.GA, 0.8, (0.08, 0.1), 12)
         assert err.value.reason == "a0_bound"
-        w = build_weights(NovasVariant.GA, 0.8, (0.08, 0.1), 12, enforce_admissible=False)
-        assert w.trim_bound < 3.0
+        budget, admissible = oracle_ga_budget(0.8, 0.08, 0.1, 12)
+        assert not admissible and 0.0 < budget - A0_MAX < 1e-12
+        assert 1.0 / math.sqrt(budget) < 3.0
 
     @pytest.mark.parametrize("order", [12, 30])
     @pytest.mark.parametrize("ga_step", [0.05, 0.02])
