@@ -44,12 +44,7 @@ from .predictor import (
     predict,
     simulate_paths,
 )
-from .returns import (
-    PriceSeries,
-    ReturnSeries,
-    sample_kurtosis,
-    to_log_returns,
-)
+from .returns import ReturnSeries, sample_kurtosis
 from .simulate import ModelSpec, generate
 from .transform import (
     CalibratedTransform,

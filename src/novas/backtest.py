@@ -30,7 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -127,6 +127,13 @@ class BacktestConfig:
         object.__setattr__(
             self, "variants", tuple(NovasVariant(v) for v in self.variants)
         )
+        # a repeated entry would score its methods twice, and the substream
+        # of a repeated alpha's later position would overwrite its predictions
+        for name in ("alpha_grid", "variants", "risks", "kinds"):
+            entries = getattr(self, name)
+            if len(set(entries)) < len(entries):
+                shown = [getattr(e, "value", e) for e in entries]
+                raise DataError(f"{name} repeats an entry: {shown}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +147,6 @@ class MethodScore:
 
 @dataclass
 class BacktestReport:
-    config: BacktestConfig
     horizons: tuple[int, ...]
     counts: dict[int, int]
     truths: dict[int, np.ndarray]
@@ -187,6 +193,15 @@ def _novas_methods(cfg: BacktestConfig, usable: dict[NovasVariant, tuple[float, 
     return out
 
 
+def _store_points(preds, method: MethodKey, squares, h_here, risks) -> None:
+    """Reduce one ensemble's step-major squares to its points at every
+    horizon in ``h_here`` and store them under ``method`` with each risk."""
+    means, medians = ensemble_points(aggregated_squared(squares, h_here))
+    for risk in risks:
+        points = means if Risk(risk) is Risk.L2 else medians
+        preds[replace(method, risk=risk)] = dict(zip(h_here, points))
+
+
 def _run_window(
     values: np.ndarray,
     cfg: BacktestConfig,
@@ -225,12 +240,8 @@ def _run_window(
                 gen = substream(cfg.seed, _DOMAIN_NOVAS, w0, vi, ai, _KIND_INDEX[kind])
                 draws = source.draw(gen, (cfg.paths, h_top))
                 paths = simulate_paths(ct, draws)
-                aggs = aggregated_squared(np.square(paths.T), h_here)
-                means, medians = ensemble_points(aggs)
-                for risk in cfg.risks:
-                    key = MethodKey(variant.value, alpha, risk, kind)
-                    points = means if Risk(risk) is Risk.L2 else medians
-                    preds[key] = dict(zip(h_here, points))
+                _store_points(preds, MethodKey(variant.value, alpha, None, kind),
+                              np.square(paths.T), h_here, cfg.risks)
 
     try:
         fit = fit_garch11_mle(window_returns)
@@ -245,12 +256,8 @@ def _run_window(
         if cfg.include_garch_bootstrap:
             gen = substream(cfg.seed, _DOMAIN_GARCH_BOOT, w0)
             paths = garch_bootstrap_paths(fit, gen, cfg.paths, h_top)
-            aggs = aggregated_squared(np.square(paths.T, order="C"), h_here)
-            means, medians = ensemble_points(aggs)
-            for risk in cfg.risks:
-                key = MethodKey("GARCH_BOOT", None, risk, None)
-                points = means if Risk(risk) is Risk.L2 else medians
-                preds[key] = dict(zip(h_here, points))
+            _store_points(preds, MethodKey("GARCH_BOOT"),
+                          np.square(paths.T, order="C"), h_here, cfg.risks)
     return preds, dead_families
 
 
@@ -349,7 +356,6 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
 
     failed = {h: int((~window_ok[h]).sum()) for h in horizons}
     return BacktestReport(
-        config=cfg,
         horizons=horizons,
         counts=counts,
         truths=truths,

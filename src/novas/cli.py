@@ -35,7 +35,7 @@ from .backtest import (
 from .errors import DataError, NovasError
 from .innovations import Seed
 from .predictor import ForecastRequest, Risk, Statistic, forecast_json, innovation_source, predict
-from .returns import ReturnSeries, read_csv_series, sample_kurtosis, to_log_returns
+from .returns import read_returns_csv, sample_kurtosis
 from .simulate import MODELS, ModelSpec, generate
 from .transform import CalibratedTransform, calibrate
 from .weights import CalibrationGrid, NovasVariant
@@ -115,16 +115,6 @@ def _options(args) -> dict:
     return options
 
 
-def _load_returns(options: dict) -> ReturnSeries:
-    """The input's return column as is, or else its price column turned
-    into percent log-returns."""
-    series = read_csv_series(
-        options["input"],
-        [(options["returns_column"], "return"), (options["price_column"], "price")],
-    )
-    return series if isinstance(series, ReturnSeries) else to_log_returns(series)
-
-
 def _grid_from_args(args) -> CalibrationGrid:
     data, source = args.grid, args.from_sidecar  # inline from a replayed sidecar
     try:
@@ -167,7 +157,7 @@ def _calibrated(options: dict) -> CalibratedTransform:
     return calibrate(
         NovasVariant(options["variant"]),
         options["alpha"],
-        _load_returns(options),
+        read_returns_csv(options["input"], options["returns_column"], options["price_column"]),
         CalibrationGrid.from_dict(options["grid"]),
     )
 
@@ -278,7 +268,7 @@ _SCORE_HEADER = [
 
 
 def _cmd_backtest(options: dict) -> int:
-    y = _load_returns(options)
+    y = read_returns_csv(options["input"], options["returns_column"], options["price_column"])
     cfg = BacktestConfig(
         window=options["window"],
         horizons=tuple(options["horizons"]),

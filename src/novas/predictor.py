@@ -62,25 +62,24 @@ def aggregated_squared(squares: np.ndarray, horizons) -> np.ndarray:
     return out
 
 
-def _median(values: np.ndarray, overwrite_input: bool = False):
-    """Exact median along the last axis, by one partition at ``k = n // 2``.
+def _median(values: np.ndarray):
+    """Exact median along the last axis, by one partition of ``values`` in
+    place at ``k = n // 2``.
 
     Bit-identical to ``np.median``: the same order statistics, ``x_(k)`` for
     odd ``n`` and ``(x_(k-1) + x_(k)) / 2`` for even ``n``, where
     ``x_(k-1)`` is the largest value below the pivot. ``np.median``
     partitions at ``[k - 1, k, -1]``, several times slower than at one
     pivot. NaNs sort last, so any NaN lies at or above the pivot and the
-    median of its row is NaN. ``overwrite_input`` lets the partition reorder
-    ``values`` in place.
+    median of its row is NaN.
     """
-    n = np.shape(values)[-1]
+    n = values.shape[-1]
     k = n // 2
-    part = values if overwrite_input else np.array(values)
-    part.partition(k, axis=-1)
-    mid = part[..., k]
+    values.partition(k, axis=-1)
+    mid = values[..., k]
     if n % 2 == 0:
-        mid = (part[..., :k].max(axis=-1) + mid) / 2
-    top = part[..., k:].max(axis=-1)
+        mid = (values[..., :k].max(axis=-1) + mid) / 2
+    top = values[..., k:].max(axis=-1)
     return np.where(np.isnan(top), top, mid)
 
 
@@ -94,7 +93,7 @@ def ensemble_points(rows: np.ndarray) -> tuple[list[float], list[float]]:
     place.
     """
     means = rows.mean(axis=1).tolist()
-    return means, _median(rows, overwrite_input=True).tolist()
+    return means, _median(rows).tolist()
 
 
 class Statistic(str, enum.Enum):
@@ -260,7 +259,7 @@ def predict(ct: CalibratedTransform, req: ForecastRequest) -> ForecastResult:
         # the time-aggregated L1 target; reported alongside, never the point.
         # The per-path sums are taken, so each row's median partitions the
         # squares in place
-        stepwise = float(np.mean(_median(squares, overwrite_input=True)))
+        stepwise = float(np.mean(_median(squares)))
 
     risk = Risk(req.risk)
     return ForecastResult(

@@ -3,7 +3,10 @@
 
 Conventions, fixed once here:
 
-* ``Y_t = 100 * ln(X_{t+1} / X_t)`` -- percent log-returns.
+* :func:`read_returns_csv` is the one reader of an input CSV. It takes a
+  returns column as is, or else turns a price column into percent
+  log-returns, ``Y_t = 100 * ln(X_{t+1} / X_t)``, so every other module
+  sees a :class:`ReturnSeries`.
 * ``ReturnSeries.variance_path[t - 1]`` is the variance estimate available
   *at* time ``t``: the first ``t - 1`` observations, centered on their own
   mean, divided by ``t - 1`` (window-length divisor, not ``n - 1``).
@@ -24,27 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """A positive price series with opaque timestamp labels."""
-
-    prices: np.ndarray
-    timestamps: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        prices = np.asarray(self.prices, dtype=float)
-        object.__setattr__(self, "prices", prices)
-        if prices.ndim != 1 or prices.size < 2:
-            raise DataError(f"fewer than 2 prices (got {prices.size})")
-        if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
-            raise DataError("prices must be finite and strictly positive")
-        if self.timestamps and len(self.timestamps) != prices.size:
-            raise DataError("timestamps and prices differ in length")
-
-    def __len__(self) -> int:
-        return self.prices.size
 
 
 @dataclass(frozen=True)
@@ -75,20 +57,15 @@ class ReturnSeries:
         return variance_path(self.values)
 
 
-# columns that label a price row, in order of preference
-_STAMP_COLUMNS = ("timestamp", "date", "time", "index")
+def read_returns_csv(path, returns_column: str, price_column: str) -> ReturnSeries:
+    """The percent log-returns of a headered CSV file.
 
-
-def read_csv_series(path, columns) -> PriceSeries | ReturnSeries:
-    """The series in the first of ``columns`` that a headered CSV file names.
-
-    ``columns`` holds ``(name, kind)`` pairs in order of preference, each
-    ``kind`` either ``"price"`` or ``"return"``. :mod:`csv` parses the
-    header once, so quoted names match, and each row once. Every value must
-    be a finite number and every price strictly positive: the error names
-    the file line of the first row that is not (the header is line 1); no
-    row is skipped. Prices are labelled from the first timestamp-like
-    column, or by their positions.
+    The ``returns_column`` is used as is when the header names it; otherwise
+    the ``price_column`` becomes ``100 * ln(P_{t+1} / P_t)``. :mod:`csv`
+    parses the header once, so quoted names match, and each row once. Every
+    value must be a finite number and every price strictly positive: the
+    error names the file line of the first row that is not (the header is
+    line 1); no row is skipped.
     """
     try:
         fh = open(path, newline="")
@@ -97,15 +74,17 @@ def read_csv_series(path, columns) -> PriceSeries | ReturnSeries:
     with fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        found = [(name, kind) for name, kind in columns if name in header]
-        if not found:
-            wanted = " or ".join(repr(name) for name, _ in columns)
-            raise DataError(f"column {wanted} not found in {path!r} (columns: {header})")
-        column, kind = found[0]
-        stamp = next((c for c in _STAMP_COLUMNS if c in header), None)
+        if returns_column in header:
+            column, kind = returns_column, "return"
+        elif price_column in header:
+            column, kind = price_column, "price"
+        else:
+            raise DataError(
+                f"column {returns_column!r} or {price_column!r} not found in "
+                f"{path!r} (columns: {header})"
+            )
         values: list[float] = []
-        stamps: list[str] = []
-        for position, row in enumerate(reader):
+        for row in reader:
             line = reader.line_num
             raw = (row[column] or "").strip()
             try:
@@ -117,21 +96,13 @@ def read_csv_series(path, columns) -> PriceSeries | ReturnSeries:
             if kind == "price" and value <= 0.0:
                 raise DataError(f"row {line}: price {raw!r} is not strictly positive")
             values.append(value)
-            stamps.append((row[stamp] if stamp else None) or str(position))
-    if kind == "price":
-        if len(values) < 2:
-            raise DataError(f"fewer than 2 prices in {path!r}")
-        return PriceSeries(np.asarray(values), tuple(stamps))
-    if not values:
-        raise DataError(f"no returns in {path!r}")
-    return ReturnSeries(np.asarray(values))
-
-
-def to_log_returns(p: PriceSeries) -> ReturnSeries:
-    """Percent log-returns: ``values[t] = 100 * ln(prices[t+1] / prices[t])``."""
-    if len(p) < 2:
-        raise DataError("need at least 2 prices to form returns")
-    return ReturnSeries(100.0 * np.diff(np.log(p.prices)))
+    if kind == "return":
+        if not values:
+            raise DataError(f"no returns in {path!r}")
+        return ReturnSeries(np.asarray(values))
+    if len(values) < 2:
+        raise DataError(f"fewer than 2 prices in {path!r}")
+    return ReturnSeries(100.0 * np.diff(np.log(values)))
 
 
 def welford_update(count, mean, m2, x):

@@ -100,31 +100,6 @@ class NovasWeights:
                 "sum", f"weight mass {total!r} differs from 1 beyond {SUM_TOL}"
             )
 
-    def check_admissible(self) -> "NovasWeights":
-        """Enforce the prediction-pipeline admissibility constraints.
-
-        A weight set can be algebraically valid (mass 1, nonnegative) yet
-        unusable for Monte-Carlo prediction: an effective contemporaneous
-        weight above 1/9 trims the innovation range below 3 standard
-        deviations, and a GA profile whose lag head exceeds that weight breaks
-        the dominance requirement. Both are compared exactly. Raises naming
-        the violated constraint.
-        """
-        if self.variant.keeps_a0:
-            eff = self.y2_self_coef
-            if eff > A0_MAX:
-                raise InfeasibleWeightsError(
-                    "a0_bound",
-                    f"effective contemporaneous weight {eff:.6f} exceeds {A0_MAX:.6f}",
-                )
-            if self.variant is NovasVariant.GA and eff < float(self.lags.max()):
-                raise InfeasibleWeightsError(
-                    "dominance",
-                    f"a0/(1-b1)={eff:.6f} below the largest lag "
-                    f"coefficient {float(self.lags.max()):.6f}",
-                )
-        return self
-
     @property
     def y2_self_coef(self) -> float:
         """Effective weight on the contemporaneous squared return."""
@@ -187,6 +162,12 @@ def build_weights(
     solves the intercept weight exactly from the mass constraint,
     ``a0 = (1 - alpha - sum(lags)) * (1 - b1)``.
 
+    A weight set can be algebraically valid (mass 1, nonnegative) yet
+    unusable for Monte-Carlo prediction: an effective contemporaneous weight
+    above 1/9 trims the innovation range below 3 standard deviations, and a
+    GA profile whose lag head exceeds that weight breaks the dominance
+    requirement. Both are compared exactly.
+
     Raises :class:`InfeasibleWeightsError` naming the violated constraint
     (negative solved ``a0``, trimming bound, GA dominance).
     """
@@ -222,7 +203,21 @@ def build_weights(
         a0, lags = (float(weights[0]), weights[1:]) if variant.keeps_a0 else (0.0, weights)
         if variant is NovasVariant.GA_NO_A0:
             shape = (float(lags[0]), b1)
-    return NovasWeights(variant, alpha, a0, lags, order, shape).check_admissible()
+    w = NovasWeights(variant, alpha, a0, lags, order, shape)
+    if variant.keeps_a0:
+        eff = w.y2_self_coef
+        if eff > A0_MAX:
+            raise InfeasibleWeightsError(
+                "a0_bound",
+                f"effective contemporaneous weight {eff:.6f} exceeds {A0_MAX:.6f}",
+            )
+        if variant is NovasVariant.GA and eff < float(w.lags.max()):
+            raise InfeasibleWeightsError(
+                "dominance",
+                f"a0/(1-b1)={eff:.6f} below the largest lag "
+                f"coefficient {float(w.lags.max()):.6f}",
+            )
+    return w
 
 
 @dataclass(frozen=True)

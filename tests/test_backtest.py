@@ -119,6 +119,19 @@ class TestPreconditions:
         with pytest.raises(DataError, match="risks must be among"):
             small_config(risks=("L3",))
 
+    REPEATED = {
+        "alpha_grid": (0.5, 0.5),
+        "variants": (NovasVariant.GE, "GE"),
+        "risks": ("L2", "L1", "L2"),
+        "kinds": ("mc", "mc"),
+    }
+
+    @pytest.mark.parametrize("name", REPEATED)
+    def test_repeated_entry(self, name):
+        # not deduplicated: an alpha's position keys its substream
+        with pytest.raises(DataError, match=f"{name} repeats an entry"):
+            small_config(**{name: self.REPEATED[name]})
+
 
 class TestCounts:
     def test_prediction_count_arithmetic(self):

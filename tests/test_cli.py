@@ -183,6 +183,14 @@ class TestBacktest:
         assert "'GX'" in err[0]
         assert not (tmp_path / "r.json").exists()
 
+    def test_repeated_alpha_single_error_line(self, tmp_path, returns_csv, capsys):
+        args = self.backtest_args(returns_csv, tmp_path / "r.json")
+        args[args.index("--alpha-grid") + 1] = "0.5,0.5"
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error:input: alpha_grid repeats an entry: [0.5, 0.5]"]
+        assert list(tmp_path.glob("r.*")) == []
+
 
 class TestErrors:
     def test_unknown_flag_exits_nonzero_with_usage(self, capsys):

@@ -1,19 +1,15 @@
 import math
 import statistics
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novas import (
-    DataError,
-    PriceSeries,
-    ReturnSeries,
-    sample_kurtosis,
-    to_log_returns,
-)
-from novas.returns import read_csv_series, variance_path
+from novas import DataError, ReturnSeries, sample_kurtosis
+from novas.returns import read_returns_csv, variance_path
 
 
 def write_csv(tmp_path, text, name="prices.csv"):
@@ -23,20 +19,25 @@ def write_csv(tmp_path, text, name="prices.csv"):
 
 
 def read_prices(path, column="close"):
-    return read_csv_series(path, [(column, "price")])
+    return read_returns_csv(path, "return", column)
 
 
 def read_returns(path, column="return"):
-    return read_csv_series(path, [(column, "return")])
+    return read_returns_csv(path, column, "close")
+
+
+def price_returns(directory, prices):
+    """The returns the reader makes of ``prices``, written with ``repr``."""
+    text = "close\n" + "".join(f"{float(v)!r}\n" for v in prices)
+    return read_prices(write_csv(Path(directory), text))
 
 
 class TestLoadPriceCsv:
     def test_two_rows(self, tmp_path):
         path = write_csv(tmp_path, "date,close\n2020-01-01,100.0\n2020-01-02,105.0\n")
         series = read_prices(path)
-        assert len(series) == 2
-        assert series.prices.tolist() == [100.0, 105.0]
-        assert series.timestamps == ("2020-01-01", "2020-01-02")
+        assert len(series) == 1
+        assert series.values[0] == pytest.approx(100.0 * math.log(105.0 / 100.0), rel=1e-15)
 
     def test_negative_price_names_row(self, tmp_path):
         path = write_csv(tmp_path, "close\n100.0\n-1.0\n102.0\n")
@@ -65,7 +66,17 @@ class TestLoadPriceCsv:
     def test_custom_column(self, tmp_path):
         path = write_csv(tmp_path, "px,close\n7.0,1.0\n8.0,1.0\n")
         series = read_prices(path, column="px")
-        assert series.prices.tolist() == [7.0, 8.0]
+        assert len(series) == 1
+        assert series.values[0] == pytest.approx(100.0 * math.log(8.0 / 7.0), rel=1e-15)
+
+    def test_returns_column_wins(self, tmp_path):
+        path = write_csv(tmp_path, "close,return\n100.0,0.5\n105.0,-1.25\n")
+        assert read_returns_csv(path, "return", "close").values.tolist() == [0.5, -1.25]
+
+    def test_neither_column_names_both(self, tmp_path):
+        path = write_csv(tmp_path, "open\n1.0\n2.0\n")
+        with pytest.raises(DataError, match=r"column 'ret' or 'px' not found.*\['open'\]"):
+            read_returns_csv(path, "ret", "px")
 
 
 class TestLoadReturnsCsv:
@@ -91,26 +102,25 @@ class TestLoadReturnsCsv:
             read_returns(write_csv(tmp_path, "return\n", "r.csv"))
 
     def test_missing_column(self, tmp_path):
-        path = write_csv(tmp_path, "close\n1.0\n", "r.csv")
-        with pytest.raises(DataError, match="'return' not found"):
+        path = write_csv(tmp_path, "open\n1.0\n", "r.csv")
+        with pytest.raises(DataError, match="'return' or 'close' not found"):
             read_returns(path)
 
 
 class TestToLogReturns:
-    def test_known_value(self):
+    def test_known_value(self, tmp_path):
         # oracle: 100 * ln(1.05) evaluated independently
         expected = 100.0 * math.log(105.0 / 100.0)
-        series = to_log_returns(PriceSeries(np.array([100.0, 105.0])))
+        series = price_returns(tmp_path, [100.0, 105.0])
         assert series.values[0] == pytest.approx(expected, rel=1e-15)
         assert series.values[0] == pytest.approx(4.879016416943205, rel=1e-12)
 
-    def test_constant_prices(self):
-        series = to_log_returns(PriceSeries(np.array([3.5, 3.5, 3.5])))
+    def test_constant_prices(self, tmp_path):
+        series = price_returns(tmp_path, [3.5, 3.5, 3.5])
         assert series.values.tolist() == [0.0, 0.0]
 
-    def test_length_contract(self):
-        prices = PriceSeries(np.linspace(50.0, 60.0, 500))
-        assert len(to_log_returns(prices)) == 499
+    def test_length_contract(self, tmp_path):
+        assert len(price_returns(tmp_path, np.linspace(50.0, 60.0, 500))) == 499
 
     @settings(max_examples=50)
     @given(
@@ -118,10 +128,13 @@ class TestToLogReturns:
         st.floats(min_value=0.01, max_value=100.0),
     )
     def test_roundtrip_up_to_scale(self, prices, scale):
-        returns = to_log_returns(PriceSeries(np.array(prices)))
+        # a fresh directory per example: hypothesis rejects function-scoped
+        # fixtures such as tmp_path
+        with tempfile.TemporaryDirectory() as directory:
+            returns = price_returns(directory, prices)
+            scaled = price_returns(directory, scale * np.array(prices))
         rebuilt = prices[0] * np.exp(np.cumsum(returns.values) / 100.0)
         np.testing.assert_allclose(rebuilt, prices[1:], rtol=1e-10)
-        scaled = to_log_returns(PriceSeries(scale * np.array(prices)))
         np.testing.assert_allclose(scaled.values, returns.values, atol=1e-9)
 
 
@@ -209,13 +222,14 @@ class TestSampleKurtosis:
 
 
 class TestSeriesTypes:
-    def test_prices_must_be_positive(self):
-        with pytest.raises(DataError):
-            PriceSeries(np.array([1.0, -2.0]))
+    def test_prices_must_be_positive(self, tmp_path):
+        path = write_csv(tmp_path, "close\n1.0\n-2.0\n")
+        with pytest.raises(DataError, match="row 3: price '-2.0' is not strictly positive"):
+            read_prices(path)
 
-    def test_prices_need_two(self):
-        with pytest.raises(DataError, match="fewer than 2"):
-            PriceSeries(np.array([1.0]))
+    def test_prices_need_two(self, tmp_path):
+        with pytest.raises(DataError, match="fewer than 2 prices"):
+            read_prices(write_csv(tmp_path, "close\n1.0\n"))
 
     def test_returns_reject_nan(self):
         with pytest.raises(DataError):
