@@ -153,7 +153,6 @@ class BacktestReport:
     predictions: dict[MethodKey, dict[int, np.ndarray]]
     scores: list[MethodScore]
     benchmark_scores: dict[int, float]
-    best_per_family: dict[tuple[str, int], MethodScore]
     infeasible: dict[str, tuple[float, ...]]
     failed_windows: dict[int, int]
 
@@ -348,12 +347,6 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
                 MethodScore(m, h, score, count, score / benchmark_scores[h])
             )
 
-    best: dict[tuple[str, int], MethodScore] = {}
-    for s in scores:
-        key = (s.method.family, s.horizon)
-        if key not in best or s.ratio < best[key].ratio:
-            best[key] = s
-
     failed = {h: int((~window_ok[h]).sum()) for h in horizons}
     return BacktestReport(
         horizons=horizons,
@@ -362,7 +355,6 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
         predictions=predictions,
         scores=scores,
         benchmark_scores=benchmark_scores,
-        best_per_family=best,
         infeasible=infeasible,
         failed_windows=failed,
     )
@@ -372,21 +364,19 @@ def relative_report(report: BacktestReport) -> list[dict]:
     """Family-best benchmark-relative table, one row per horizon.
 
     Every score is divided by the GARCH-direct score at the same horizon and
-    each family contributes its best (minimum-ratio) variant, matching the
-    published comparison format.
+    each family contributes its best (minimum-ratio) variant, the first one
+    scored on a tie, matching the published comparison format.
     """
-    for h, s in report.benchmark_scores.items():
-        if s == 0.0:
-            raise DataError(f"benchmark score is zero at h={h}")
-    families = [f for f in FAMILIES if any(k[0] == f for k in report.best_per_family)]
-    rows = []
-    for h in report.horizons:
-        row: dict = {"horizon": h}
-        for fam in families:
-            entry = report.best_per_family.get((fam, h))
-            row[fam] = entry.ratio if entry is not None else None
-        rows.append(row)
-    return rows
+    best: dict[tuple[str, int], float] = {}
+    for s in report.scores:
+        key = (s.method.family, s.horizon)
+        if key not in best or s.ratio < best[key]:
+            best[key] = s.ratio
+    families = [f for f in FAMILIES if any(fam == f for fam, _ in best)]
+    return [
+        {"horizon": h, **{fam: best.get((fam, h)) for fam in families}}
+        for h in report.horizons
+    ]
 
 
 def format_table(rows: list[dict], label: str = "") -> str:

@@ -3,7 +3,7 @@
 The library's one ensemble path, taken by :func:`predict` and every backtest
 window: ``M`` innovation vectors of length ``h`` go through the inverse
 transform (:func:`simulate_paths`), each pseudo-return feeding back into the
-lag window and (by default) the recursive variance. Every lag profile is
+lag window and the recursive variance. Every lag profile is
 geometric, so a path's lag window is one running sum, O(1) state per path
 whatever the lag order. Each step writes its signed roots into one row of a
 step-major ``(h, M)`` array, and the ensemble comes back as its ``(M, h)``
@@ -145,17 +145,13 @@ class ForecastResult:
     stepwise_l1_aggregate: float | None = None
 
 
-def simulate_paths(
-    ct: CalibratedTransform,
-    innovations: np.ndarray,
-    freeze_variance: bool = False,
-) -> np.ndarray:
+def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarray:
     """Push an ``(M, h)`` innovation matrix through the inverse transform.
 
     Each step's pseudo-return re-enters the lag window with the sign of its
     innovation, and the variance estimate is updated by the same one-pass
     (count, mean, M2) recursion that builds the in-sample variance path
-    (:func:`~novas.returns.welford_update`) unless frozen at its
+    (:func:`~novas.returns.welford_update`), starting from its
     end-of-history value ``ct.s2_n``. Pure: identical inputs give identical
     paths.
 
@@ -224,10 +220,9 @@ def simulate_paths(
             lag_sum -= np.multiply(y2[k - p], tail, out=tmp)
         lag_sum *= r
         lag_sum += np.multiply(yk2, head, out=tmp)
-        if not freeze_variance:
-            count += 1
-            welford_update(count, mean, m2, yk)
-            np.divide(m2, count, out=s2)
+        count += 1
+        welford_update(count, mean, m2, yk)
+        np.divide(m2, count, out=s2)
     return wt.T
 
 

@@ -215,15 +215,14 @@ def oracle_welford_variance_path(history, extensions) -> list[float]:
     return out
 
 
-def oracle_simulate_path(history, innovations, alpha, eff, lags, freeze_variance=False):
+def oracle_simulate_path(history, innovations, alpha, eff, lags):
     """One simulated path straight from the inverse of the defining equation,
 
         Y_k^2 = W_k^2 * (alpha * s2 + sum_i lag_i * Y_{k-i}^2) / (1 - eff * W_k^2),
 
     with the sign of ``W_k``: the full lag sum over the newest ``len(lags)``
-    values of history plus path, and ``s2`` the variance of the history
-    (frozen) or of history plus path so far (live, through
-    :func:`oracle_welford_variance_path`).
+    values of history plus path, and ``s2`` the variance of history plus path
+    so far (through :func:`oracle_welford_variance_path`).
     """
     values = [float(v) for v in history]
     lags = [float(v) for v in lags]
@@ -235,8 +234,7 @@ def oracle_simulate_path(history, innovations, alpha, eff, lags, freeze_variance
         for i in range(1, len(lags) + 1):
             core += lags[i - 1] * values[-i] ** 2
         y = math.copysign(math.sqrt(w * w * core / (1.0 - eff * w * w)), w)
-        if not freeze_variance:
-            s2 = oracle_welford_variance_path(values, [y])[0]
+        s2 = oracle_welford_variance_path(values, [y])[0]
         values.append(y)
         path.append(y)
     return path

@@ -176,13 +176,14 @@ class TestReportInvariants:
                 assert small_report.truths[h][w0] == pytest.approx(expected, rel=1e-15)
 
     def test_family_best_bounds_members(self, small_report):
-        for (family, h), best in small_report.best_per_family.items():
-            members = [
-                s for s in small_report.scores
-                if s.method.family == family and s.horizon == h
-            ]
-            assert best.ratio <= min(m.ratio for m in members)
-            assert best in members
+        for row in relative_report(small_report):
+            h = row.pop("horizon")
+            for family, best in row.items():
+                members = [
+                    s.ratio for s in small_report.scores
+                    if s.method.family == family and s.horizon == h
+                ]
+                assert best == min(members)
 
     def test_all_method_scores_present(self, small_report):
         families = {s.method.family for s in small_report.scores}
@@ -335,6 +336,14 @@ class TestRelativeReport:
             assert set(row) == {"horizon", "GE", "GA_NO_A0", "GARCH_BOOT",
                                 "GARCH_DIRECT"}
             assert row["GARCH_DIRECT"] == 1.0
+
+    def test_zero_benchmark_score_rejected(self, short_series, monkeypatch):
+        # every score reads zero, so the ratios' denominator is zero from the
+        # first horizon on
+        monkeypatch.setattr(novas.backtest, "score_performance", lambda *args: 0.0)
+        cfg = small_config(variants=(), include_garch_bootstrap=False, threads=1)
+        with pytest.raises(DataError, match=r"benchmark score is zero at h=1; ratios"):
+            run_rolling_poos(short_series, cfg)
 
     def test_format_table_prints_benchmark_column(self, small_report):
         text = format_table(relative_report(small_report), label="demo")

@@ -1,11 +1,11 @@
 """Byte digests of the ensemble outputs.
 
 Pins the exact bits of :func:`simulate_paths` (every variant, both innovation
-kinds, live and frozen variance), of every :class:`ForecastResult` field of
-:func:`predict` (both statistics, both risks), and of the predictions of a
-short rolling backtest. A rewrite of the draw, simulate or reduce path that
-changes any bit of any of them fails here; a change that is meant to alter
-outputs must update these digests and say why.
+kinds), of every :class:`ForecastResult` field of :func:`predict` (both
+statistics, both risks), and of the predictions of a short rolling backtest.
+A rewrite of the draw, simulate or reduce path that changes any bit of any of
+them fails here; a change that is meant to alter outputs must update these
+digests and say why.
 """
 
 import hashlib
@@ -61,35 +61,26 @@ def transforms():
 
 
 SIMULATE = {
-    ("GE", "TRIMMED_NORMAL", False): "70e75be4080d7bff",
-    ("GE", "TRIMMED_NORMAL", True): "d7503fdf30b3db86",
-    ("GE", "EMPIRICAL", False): "eb621e1c01232f4a",
-    ("GE", "EMPIRICAL", True): "ab8ef34f35d99a76",
-    ("GE_NO_A0", "TRIMMED_NORMAL", False): "7946bd4e1e249a3c",
-    ("GE_NO_A0", "TRIMMED_NORMAL", True): "4e3ef8f1c2647e7f",
-    ("GE_NO_A0", "EMPIRICAL", False): "59c6132c0d58e89f",
-    ("GE_NO_A0", "EMPIRICAL", True): "1b373d4329a2ebfc",
-    ("GA", "TRIMMED_NORMAL", False): "e25232963c7bd7f8",
-    ("GA", "TRIMMED_NORMAL", True): "1fe39de2629e4c55",
-    ("GA", "EMPIRICAL", False): "530b1352db61138e",
-    ("GA", "EMPIRICAL", True): "95e111725df7ba2d",
-    ("GA_NO_A0", "TRIMMED_NORMAL", False): "a6b9eeba31a541e8",
-    ("GA_NO_A0", "TRIMMED_NORMAL", True): "9463a0ca12f4de3c",
-    ("GA_NO_A0", "EMPIRICAL", False): "b97df828fa7a01be",
-    ("GA_NO_A0", "EMPIRICAL", True): "6deefe704ea28f87",
+    ("GE", "TRIMMED_NORMAL"): "70e75be4080d7bff",
+    ("GE", "EMPIRICAL"): "eb621e1c01232f4a",
+    ("GE_NO_A0", "TRIMMED_NORMAL"): "7946bd4e1e249a3c",
+    ("GE_NO_A0", "EMPIRICAL"): "59c6132c0d58e89f",
+    ("GA", "TRIMMED_NORMAL"): "e25232963c7bd7f8",
+    ("GA", "EMPIRICAL"): "530b1352db61138e",
+    ("GA_NO_A0", "TRIMMED_NORMAL"): "a6b9eeba31a541e8",
+    ("GA_NO_A0", "EMPIRICAL"): "b97df828fa7a01be",
 }
 
 
-@pytest.mark.parametrize("freeze", [False, True], ids=["live", "frozen"])
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("variant", list(NovasVariant), ids=lambda v: v.value)
-def test_simulate_paths_digest(transforms, variant, kind, freeze):
+def test_simulate_paths_digest(transforms, variant, kind):
     ct = transforms[variant]
     gen = substream(Seed(3), list(NovasVariant).index(variant), KINDS.index(kind))
     draws = innovation_source(ct, kind).draw(gen, (M, H))
-    paths = simulate_paths(ct, draws, freeze_variance=freeze)
+    paths = simulate_paths(ct, draws)
     assert paths.shape == (M, H)
-    assert digest(paths) == SIMULATE[variant.value, kind.value, freeze]
+    assert digest(paths) == SIMULATE[variant.value, kind.value]
 
 
 PREDICT = {

@@ -1,7 +1,9 @@
 """Modules of the package use only each other's public names, every public
-name has a caller outside the tests, and none of them needs scipy."""
+name and every defaulted parameter has a caller outside the tests, and none of
+them needs scipy."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -120,11 +122,15 @@ def test_one_median_path(path):
 
 
 # a public function or class that no code of the program names is an entry
-# point that only tests reach; each allowed one says why it stays
+# point that only tests reach, and a defaulted parameter that no call of the
+# program passes is a knob that only tests turn; each allowed one says why it
+# stays
 TEST_ONLY = {
     # the scalar inverse step: the reference the tests compare simulate_paths
     # against, step by step
     "inverse_step",
+    # the console entry point's argument list, which it reads from sys.argv
+    "main.argv",
 }
 CALLERS = [
     *(p for p in SOURCES if p.name != "__init__.py"),
@@ -157,3 +163,46 @@ def test_every_public_name_has_a_caller():
     ]
     unused = [name for name in public if name.split(".")[1] not in used | TEST_ONLY]
     assert not unused, unused
+
+
+def _passed(call: ast.Call) -> tuple[float, set]:
+    """How many leading positional parameters a call passes, every one when
+    it unpacks a ``*`` argument, and the names it passes by keyword, where
+    ``None`` stands for a ``**`` unpacking that may pass any."""
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return math.inf if starred else len(call.args), {kw.arg for kw in call.keywords}
+
+
+def _defaulted(args: ast.arguments) -> list[tuple[float, str]]:
+    """The position and name of each parameter that has a default; a
+    keyword-only one has no position a call can reach."""
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    return [(i, a.arg) for i, a in enumerate(positional) if i >= first] + [
+        (math.inf, a.arg)
+        for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(_passed(node))
+    unpassed = [
+        f"{path.stem}.{node.name}.{param}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        for position, param in _defaulted(node.args)
+        if f"{node.name}.{param}" not in TEST_ONLY
+        and not any(
+            position < count or param in names or None in names
+            for count, names in calls.get(node.name, [])
+        )
+    ]
+    assert not unpassed, unpassed

@@ -104,15 +104,7 @@ class TestSimulatePath:
             expected = inverse_step(innovation, lagged, s2_seq[k], w)
             assert abs(path[k]) == pytest.approx(expected, rel=1e-9)
 
-    def test_frozen_variance_mode(self, fitted):
-        ct = fitted["GE"]
-        innovations = np.full((1, 6), 1.1)
-        live = simulate_paths(ct, innovations)[0]
-        frozen = simulate_paths(ct, innovations, freeze_variance=True)[0]
-        assert not np.allclose(live, frozen)
-
-    @pytest.mark.parametrize("freeze", [False, True], ids=["live", "frozen"])
-    def test_layout_and_input_untouched(self, fitted, freeze):
+    def test_layout_and_input_untouched(self, fitted):
         # the steps write their signed roots into a step-major copy of the
         # innovations: a step-major (Fortran-ordered) input must not be that
         # copy, and both layouts must give the same bytes
@@ -121,20 +113,15 @@ class TestSimulatePath:
         draws = source.draw(substream(Seed(8)), (40, 9))
         step_major = np.asfortranarray(draws)
         before = draws.tobytes()
-        a = simulate_paths(ct, draws, freeze_variance=freeze)
-        b = simulate_paths(ct, step_major, freeze_variance=freeze)
+        a = simulate_paths(ct, draws)
+        b = simulate_paths(ct, step_major)
         assert a.tobytes() == b.tobytes()
         assert draws.tobytes() == before
         assert step_major.tobytes() == before
 
-    @pytest.mark.parametrize("freeze, calls", [(False, 6), (True, 0)],
-                             ids=["live", "frozen"])
-    def test_variance_advances_through_welford_update(
-        self, fitted, monkeypatch, freeze, calls
-    ):
+    def test_variance_advances_through_welford_update(self, fitted, monkeypatch):
         # one call per simulated step but the last, whose variance nothing
-        # reads, and none when frozen: the ensemble's variance has no second
-        # copy of the recursion
+        # reads: the ensemble's variance has no second copy of the recursion
         made = []
 
         def counting(*args):
@@ -143,12 +130,12 @@ class TestSimulatePath:
 
         ct = fitted["GE_NO_A0"]
         draws = np.random.default_rng(5).normal(size=(30, 7))
-        want = simulate_paths(ct, draws, freeze_variance=freeze)
+        want = simulate_paths(ct, draws)
         monkeypatch.setattr(novas.predictor, "welford_update", counting)
-        got = simulate_paths(ct, draws, freeze_variance=freeze)
+        got = simulate_paths(ct, draws)
         # step k folds in the (n + k)-th value of history plus path
         n = len(ct.history)
-        assert made == [n + k for k in range(1, calls + 1)]
+        assert made == [n + k for k in range(1, 7)]
         assert got.tobytes() == want.tobytes()
 
 
@@ -199,19 +186,18 @@ def weights_of_order(variant, order):
 class TestSimulateOracle:
     # h = 12 steps: order 1 drops each step's predecessor, order 5 drops
     # history and then path values, order 30 drops history values only
-    @pytest.mark.parametrize("freeze", [False, True], ids=["live", "frozen"])
     @pytest.mark.parametrize("order", [1, 5, 30])
     @pytest.mark.parametrize("variant", list(NovasVariant), ids=lambda v: v.value)
-    def test_matches_plain_loop(self, variant, order, freeze):
+    def test_matches_plain_loop(self, variant, order):
         y = generate(ModelSpec(model="M3", n=300, seed=Seed(17)))
         w = weights_of_order(variant, order)
         ct = CalibratedTransform(w, forward_transform(y, w), y, 0.0)
         bound = 0.8 * w.trim_bound
         draws = np.clip(np.random.default_rng(order).normal(size=(4, 12)), -bound, bound)
-        paths = simulate_paths(ct, draws, freeze_variance=freeze)
+        paths = simulate_paths(ct, draws)
         for m in range(4):
             expected = oracle_simulate_path(
-                y.values, draws[m], w.alpha, w.y2_self_coef, w.lags, freeze
+                y.values, draws[m], w.alpha, w.y2_self_coef, w.lags
             )
             np.testing.assert_allclose(paths[m], expected, rtol=1e-12, atol=0)
 
@@ -259,7 +245,7 @@ class TestExactMedian:
     @given(arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 30)),
                   elements=st.one_of(FINITE, TIED, SPECIAL)))
     def test_infinities_and_nan(self, x):
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             want = np.median(x, axis=1)
             assert same_bits(_median(x), want)
             for row, value in zip(x, want):
