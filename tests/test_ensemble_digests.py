@@ -60,6 +60,10 @@ def transforms():
     return {v: calibrate(v, alpha, y) for v, alpha in ALPHAS.items()}
 
 
+# every ensemble runs its variance live; the cases keep the "live" id they
+# had beside the removed frozen-variance mode, so their names stay stable
+LIVE = pytest.mark.parametrize("variance", ["live"])
+
 SIMULATE = {
     ("GE", "TRIMMED_NORMAL"): "70e75be4080d7bff",
     ("GE", "EMPIRICAL"): "eb621e1c01232f4a",
@@ -72,9 +76,10 @@ SIMULATE = {
 }
 
 
+@LIVE
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("variant", list(NovasVariant), ids=lambda v: v.value)
-def test_simulate_paths_digest(transforms, variant, kind):
+def test_simulate_paths_digest(transforms, variant, kind, variance):
     ct = transforms[variant]
     gen = substream(Seed(3), list(NovasVariant).index(variant), KINDS.index(kind))
     draws = innovation_source(ct, kind).draw(gen, (M, H))

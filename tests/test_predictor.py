@@ -54,6 +54,11 @@ def fitted():
     }
 
 
+# every ensemble runs its variance live; the cases keep the "live" id they
+# had beside the removed frozen-variance mode, so their names stay stable
+LIVE = pytest.mark.parametrize("variance", ["live"])
+
+
 class TestSimulatePath:
     """One path: row 0 of the ensemble of a single innovation vector."""
 
@@ -104,7 +109,8 @@ class TestSimulatePath:
             expected = inverse_step(innovation, lagged, s2_seq[k], w)
             assert abs(path[k]) == pytest.approx(expected, rel=1e-9)
 
-    def test_layout_and_input_untouched(self, fitted):
+    @LIVE
+    def test_layout_and_input_untouched(self, fitted, variance):
         # the steps write their signed roots into a step-major copy of the
         # innovations: a step-major (Fortran-ordered) input must not be that
         # copy, and both layouts must give the same bytes
@@ -119,7 +125,10 @@ class TestSimulatePath:
         assert draws.tobytes() == before
         assert step_major.tobytes() == before
 
-    def test_variance_advances_through_welford_update(self, fitted, monkeypatch):
+    @LIVE
+    def test_variance_advances_through_welford_update(
+        self, fitted, monkeypatch, variance
+    ):
         # one call per simulated step but the last, whose variance nothing
         # reads: the ensemble's variance has no second copy of the recursion
         made = []
@@ -186,9 +195,10 @@ def weights_of_order(variant, order):
 class TestSimulateOracle:
     # h = 12 steps: order 1 drops each step's predecessor, order 5 drops
     # history and then path values, order 30 drops history values only
+    @LIVE
     @pytest.mark.parametrize("order", [1, 5, 30])
     @pytest.mark.parametrize("variant", list(NovasVariant), ids=lambda v: v.value)
-    def test_matches_plain_loop(self, variant, order):
+    def test_matches_plain_loop(self, variant, order, variance):
         y = generate(ModelSpec(model="M3", n=300, seed=Seed(17)))
         w = weights_of_order(variant, order)
         ct = CalibratedTransform(w, forward_transform(y, w), y, 0.0)
