@@ -17,9 +17,12 @@ the window, and one ``ensemble_points`` call reduces them to the L2 and L1
 points at every horizon.
 
 Windows are independent, so they run in a pool of forked worker processes
-(``BacktestConfig.threads`` of them, by default one per usable CPU). Fork
-hands each worker the imported numpy and the window inputs without a fresh
-import; because each window draws only from its own substreams, the
+(``BacktestConfig.threads`` of them, by default one per usable CPU). The
+pool's modules, ``multiprocessing`` and ``concurrent.futures``, are imported
+in :func:`run_rolling_poos` only when it starts a pool, so ``import novas``
+does not pay for them. Fork hands each worker the imported numpy, the window
+inputs and the calibration scans prepared by ``feasible_alphas`` without a
+fresh import; because each window draws only from its own substreams, the
 predictions are byte-identical at every worker count. Fork copies only the
 calling thread, so a caller that runs threads of its own which may hold
 locks (a logging handler, a server loop) should pass ``threads=1``.
@@ -27,9 +30,7 @@ locks (a logging handler, a server loop) should pass ``threads=1``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -292,6 +293,9 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
     run_window = partial(_run_window, values, cfg, usable, counts)
     workers = min(cfg.threads, n_windows)
     if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # chunksize 1: the early windows carry every horizon and take longest,
         # so handing them out one at a time keeps the workers evenly loaded
         with ProcessPoolExecutor(

@@ -26,19 +26,24 @@ the window's residuals therefore multiplies the lag part of the mean by
 ``mu`` each step; at ``mu >= 1`` a long-horizon bootstrap forecast grows
 without bound in the mean. For the a0-free variants ``mu = E[W^2] * sum(lags)``.
 
-Calibration has two parts. A cached candidate table per (variant, alpha,
-window length, grid) holds what does not depend on the data: the weight sets
+Calibration has three parts. A cached candidate table per (variant, alpha,
+window length, grid) holds the weight sets
 :func:`~novas.weights.build_weights` admits on the grid, which alone decides
-admissibility; :func:`feasible_alphas` reads it too. One scan then serves
-every variant: per lag order, one matrix product of the window's lagged
-squared returns and the grid's :func:`~novas.weights.lag_profile` columns,
-shared by every alpha; per (alpha, order), one vectorized scoring of
-``scale * product + alpha * s2``, where ``scale`` (``1 - alpha``, or 1 for
-GA's raw profiles) turns the columns into the weight sets' lags. The winning
-weight set is evaluated through the plain :func:`forward_transform` path,
-which is what the returned transform reports. Neither the scan nor that path
-recomputes the variance path ``s2``: every variant, alpha and returned
-transform of a window reads the one cached on its :class:`ReturnSeries`.
+admissibility; :func:`feasible_alphas` reads it too. A cached scan plan per
+(variant, alphas, window length, grid) groups the candidates of every
+requested alpha by lag order and holds each column's ``scale`` (``1 -
+alpha``, or 1 for GA's raw profiles, which turns a column into the weight
+set's lags), ``alpha``, ``eff`` and lag mass; :func:`feasible_alphas` builds
+it, so a backtest's forked workers inherit it. Neither part depends on the
+data. The scan then serves every variant: per lag order, one matrix product
+of the window's lagged squared returns and the grid's
+:func:`~novas.weights.lag_profile` columns, and one vectorized scoring of
+``scale * product + alpha * s2`` across the candidates of all alphas, whose
+objectives are split back per alpha for selection. The winning weight set is
+evaluated through the plain :func:`forward_transform` path, which is what the
+returned transform reports. Neither the scan nor that path recomputes the
+variance path ``s2``: every variant, alpha and returned transform of a
+window reads the one cached on its :class:`ReturnSeries`.
 """
 
 from __future__ import annotations
@@ -114,8 +119,9 @@ def forward_transform(y: ReturnSeries, w: NovasWeights) -> np.ndarray:
     y2 = values * values
     s2 = y.variance_path
     denom = w.y2_self_coef * y2[k:] + w.alpha * s2[k:n]
+    term = np.empty_like(denom)
     for i in range(1, k + 1):
-        denom = denom + w.lags[i - 1] * y2[k - i : n - i]
+        denom += np.multiply(w.lags[i - 1], y2[k - i : n - i], out=term)
     if np.any(denom <= 0.0):
         raise DegenerateWindowError(
             "studentizing denominator collapsed to zero (all-zero window)"
@@ -160,20 +166,32 @@ def _column_scores(
     column) weights that term and ``lag_mass`` is the candidate's
     ``sum(lags)``. Degenerate candidates (nonpositive denominator or constant
     residuals) get objective +inf so selection skips them.
+
+    Overwrites ``core`` and allocates at most one more ``(rows, columns)``
+    buffer, each in the memory order of the plain expression (the column
+    gather ``core`` column-major, ``core + y2 * eff`` row-major), because that
+    order decides how each column mean is summed.
     """
+    rows = values_tail.size
     y2 = (values_tail * values_tail)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu = (y2 / core).mean(axis=0) * lag_mass
-        denom = core + y2 * eff if np.any(eff) else core
-        W = values_tail[:, None] / np.sqrt(denom)
-        d = W - W.mean(axis=0)
-        d2 = d * d
-        m2 = d2.mean(axis=0)
-        m4 = (d2 * d2).mean(axis=0)
+        if np.any(eff):
+            denom = np.multiply(y2, eff)
+            denom += core
+            quotient = np.divide(y2, core, out=core)
+        else:
+            denom, quotient = core, y2 / core
+        mu = np.add.reduce(quotient, axis=0) / rows * lag_mass
+        degenerate = np.any(denom <= 0.0, axis=0)
+        d = np.divide(values_tail[:, None], np.sqrt(denom, out=denom), out=denom)
+        d -= np.add.reduce(d, axis=0) / rows
+        d2 = np.multiply(d, d, out=d)
+        m2 = np.add.reduce(d2, axis=0) / rows
+        m4 = np.add.reduce(np.multiply(d2, d2, out=d2), axis=0) / rows
     out = np.full(m2.shape, np.inf)
     ok = np.isfinite(m2) & (m2 > 0.0)
     out[ok] = np.abs(m4[ok] / (m2[ok] * m2[ok]) - 3.0)
-    out[np.any(denom <= 0.0, axis=0)] = np.inf
+    out[degenerate] = np.inf
     return out, mu
 
 
@@ -224,15 +242,11 @@ def _unit_columns(variant: NovasVariant, order: int, grid: CalibrationGrid):
 
 class _CandidateTable(NamedTuple):
     """The admitted weight sets of one (variant, alpha, window length, grid)
-    in grid order, their ``eff`` and lag mass, and one ``(order, rows,
-    columns, unit)`` group per lag order, ``columns`` indexing the points'
-    profiles in that order's :func:`_unit_columns` matrix."""
+    in grid order, and each one's column in its order's
+    :func:`_unit_columns` matrix."""
 
-    scale: float
     weights: tuple[NovasWeights, ...]
-    eff: np.ndarray
-    mass: np.ndarray
-    groups: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    columns: np.ndarray
 
 
 @functools.lru_cache(maxsize=128)
@@ -259,20 +273,56 @@ def _candidate_table(
     else:
         order = min(grid.order_cap_for(n), cap)
         fits = [_admitted(variant, alpha, shape, order) for shape in shapes]
-    keep = np.array([j for j, w in enumerate(fits) if w is not None], dtype=int)
-    weights = tuple(fits[j] for j in keep)
-    orders = np.array([w.order for w in weights], dtype=int)
+    columns = np.array([j for j, w in enumerate(fits) if w is not None], dtype=int)
+    columns.flags.writeable = False
+    return _CandidateTable(tuple(fits[j] for j in columns), columns)
+
+
+class _ScanPlan(NamedTuple):
+    """One scan over several alphas: each alpha's admitted weight sets, the
+    bounds of each alpha's slice of the scan's flat candidate list, and one
+    ``(order, unit, slots, columns, scale, alpha, eff, mass)`` group per lag
+    order. ``unit`` is that order's :func:`_unit_columns` matrix; ``slots``
+    and ``columns`` place each candidate in the flat list and in ``unit``;
+    the rest turn its column into its weight set's score."""
+
+    weights: tuple[tuple[NovasWeights, ...], ...]
+    bounds: tuple[int, ...]
+    groups: tuple[tuple, ...]
+
+
+@functools.lru_cache(maxsize=128)
+def _scan_plan(
+    variant: NovasVariant, alphas: tuple, n: int, grid: CalibrationGrid
+) -> _ScanPlan:
+    """The index arrays of a scan over ``alphas``: like the candidate tables
+    they do not depend on the data, so each is built once."""
+    tables = [_candidate_table(variant, alpha, n, grid) for alpha in alphas]
+    for alpha, table in zip(alphas, tables):
+        if not table.weights:
+            raise CalibrationError(
+                f"no feasible grid point for {variant.value} at alpha={alpha}"
+            )
+    counts = [len(table.weights) for table in tables]
+    weights = [w for table in tables for w in table.weights]
+    scales = [1.0 if variant is NovasVariant.GA else 1.0 - a for a in alphas]
+    per_column = (
+        np.array([j for table in tables for j in table.columns], dtype=int),
+        np.repeat(scales, counts),
+        np.repeat(np.asarray(alphas, dtype=float), counts),
+        np.array([w.y2_self_coef for w in weights]),
+        np.array([float(w.lags.sum()) for w in weights]),
+    )
+    orders = np.array([w.order for w in weights])
     groups = []
     for order in np.unique(orders).tolist():
-        rows = np.flatnonzero(orders == order)
-        columns = keep[rows]
-        rows.flags.writeable = columns.flags.writeable = False
-        groups.append((order, rows, columns, _unit_columns(variant, order, grid)))
-    eff = np.array([w.y2_self_coef for w in weights])
-    mass = np.array([float(w.lags.sum()) for w in weights])
-    eff.flags.writeable = mass.flags.writeable = False
-    scale = 1.0 if variant is NovasVariant.GA else 1.0 - alpha
-    return _CandidateTable(scale, weights, eff, mass, tuple(groups))
+        slots = np.flatnonzero(orders == order)
+        arrays = [slots, *(column[slots] for column in per_column)]
+        for a in arrays:
+            a.flags.writeable = False
+        groups.append((order, _unit_columns(variant, order, grid), *arrays))
+    bounds = tuple(np.cumsum([0, *counts]).tolist())
+    return _ScanPlan(tuple(t.weights for t in tables), bounds, tuple(groups))
 
 
 def feasible_alphas(
@@ -281,14 +331,18 @@ def feasible_alphas(
     """Alphas whose variant grid contains at least one feasible point.
 
     Feasibility depends only on (variant, alpha, window length, grid), never
-    on the data, so the rolling harness can decide it once up front.
+    on the data, so the rolling harness can decide it once up front. The
+    scan over the returned alphas is prepared here too, so that forked
+    workers inherit it instead of each building their own.
     """
     grid = grid or CalibrationGrid()
-    return [
+    feasible = [
         alpha
         for alpha in alphas
         if _candidate_table(variant, alpha, window_len, grid).weights
     ]
+    _scan_plan(variant, tuple(feasible), window_len, grid)
+    return feasible
 
 
 def _select(weights: tuple[NovasWeights, ...], objs: list, mus: list) -> NovasWeights:
@@ -318,41 +372,36 @@ def calibrate_many(
 ) -> dict[float, CalibratedTransform]:
     """Calibrate one variant at several alpha values over a shared window.
 
-    Returns ``{alpha: CalibratedTransform}``; the per-alpha work shares the
-    window precomputation and the grid's lag convolutions, so this is the
-    entry point the rolling backtest uses.
+    Returns ``{alpha: CalibratedTransform}``. The alphas share the window's
+    variance path and lag products, and the cached scan plan scores the
+    candidates of every alpha at one lag order in one vectorized pass, so
+    this is the entry point the rolling backtest uses.
     """
     grid = grid or CalibrationGrid()
     if len(y) < grid.min_window:
         raise CalibrationError(
             f"window of {len(y)} below the calibration minimum {grid.min_window}"
         )
+    alphas = tuple(alphas)
     values, s2 = y.values, y.variance_path
     n = values.size
+    plan = _scan_plan(variant, alphas, n, grid)
     y2 = values * values
-    # order -> (rows t = order..n-1 of lagged squared returns, newest first) @ unit
-    products: dict[int, np.ndarray] = {}
-    out: dict[float, CalibratedTransform] = {}
-    for alpha in alphas:
-        table = _candidate_table(variant, alpha, n, grid)
-        if not table.weights:
-            raise CalibrationError(
-                f"no feasible grid point for {variant.value} at alpha={alpha}"
-            )
-        objs = np.empty(len(table.weights))
-        mus = np.empty(len(table.weights))
-        for order, rows, columns, unit in table.groups:
-            if order not in products:
-                lagged = sliding_window_view(y2[: n - 1], order)[:, ::-1]
-                products[order] = np.ascontiguousarray(lagged) @ unit
-            core = products[order][:, columns]
-            core *= table.scale
-            core += (alpha * s2[order:n])[:, None]
-            objs[rows], mus[rows] = _column_scores(
-                values[order:], core, table.eff[rows], table.mass[rows]
-            )
-        out[alpha] = _finish(y, _select(table.weights, objs.tolist(), mus.tolist()))
-    return out
+    objs = np.empty(plan.bounds[-1])
+    mus = np.empty(plan.bounds[-1])
+    for order, unit, slots, columns, scale, alpha, eff, mass in plan.groups:
+        # rows t = order..n-1 of lagged squared returns, newest first
+        lagged = sliding_window_view(y2[: n - 1], order)[:, ::-1]
+        core = (np.ascontiguousarray(lagged) @ unit)[:, columns]
+        core *= scale
+        core += s2[order:n, None] * alpha
+        objs[slots], mus[slots] = _column_scores(values[order:], core, eff, mass)
+    return {
+        alpha: _finish(y, _select(weights, objs[lo:hi].tolist(), mus[lo:hi].tolist()))
+        for alpha, weights, lo, hi in zip(
+            alphas, plan.weights, plan.bounds, plan.bounds[1:]
+        )
+    }
 
 
 def _finish(y: ReturnSeries, weights: NovasWeights) -> CalibratedTransform:

@@ -1,6 +1,6 @@
 """Modules of the package use only each other's public names, every public
-name and every defaulted parameter has a caller outside the tests, and none of
-them needs scipy."""
+name and every defaulted parameter has a caller outside the tests, none of
+them needs scipy, and importing the package loads no process-pool module."""
 
 import ast
 import math
@@ -69,6 +69,16 @@ def test_no_scipy_import(path):
     assert not imports, imports
 
 
+def last_line_printed(script: str) -> str:
+    """The last line ``script`` prints in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1]
+
+
 def test_fit_and_backtest_load_no_scipy():
     script = """
 import sys
@@ -83,12 +93,18 @@ report = run_rolling_poos(
 assert report.counts == {1: 2}
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert last_line_printed(script) == "[]"
+
+
+def test_import_leaves_out_the_pool_modules():
+    # only a pooled backtest needs them, and it imports them itself
+    script = """
+import sys
+import novas
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+    assert last_line_printed(script) == "[]"
 
 
 # every median is the exact one-pass selection in predictor._median; a numpy

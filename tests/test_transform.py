@@ -42,6 +42,10 @@ ADMISSIBLE = {
 }
 
 
+# the alpha grid of the acceptance fixture and the benchmark
+ALPHAS = tuple(k / 10 for k in range(1, 9))
+
+
 def admissible_weights(variant):
     alpha, shape, order = ADMISSIBLE[variant]
     return build_weights(variant, alpha, shape, order)
@@ -247,12 +251,26 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="no feasible"):
             calibrate(NovasVariant.GE, 0.1, y, grid)
 
-    def test_calibrate_many_matches_single(self, model3_window):
-        grid = CalibrationGrid(ga_step=0.05)
-        both = calibrate_many(NovasVariant.GA, (0.5, 0.7), model3_window, grid)
-        single = calibrate(NovasVariant.GA, 0.7, model3_window, grid)
-        assert both[0.7].weights == single.weights
-        assert both[0.7].objective == single.objective
+    @pytest.mark.parametrize("window", ["M1", "M3"])
+    @pytest.mark.parametrize("ga_step", [0.05, None], ids=["ga_step=0.05", "default"])
+    @pytest.mark.parametrize("variant", list(NovasVariant), ids=lambda v: v.value)
+    def test_calibrate_many_matches_single(
+        self, variant, ga_step, window, model1_series, model3_window
+    ):
+        # a scan over several alphas scores each lag order's candidates of
+        # every alpha together, so the sums behind a column's score can run in
+        # another order than alone; each alpha must still get the weight set,
+        # objective and residuals it gets alone
+        grid = CalibrationGrid() if ga_step is None else CalibrationGrid(ga_step=ga_step)
+        y = ReturnSeries(model1_series.values[125:375]) if window == "M1" else model3_window
+        alphas = feasible_alphas(variant, ALPHAS, len(y), grid)
+        many = calibrate_many(variant, alphas, y, grid)
+        assert list(many) == alphas
+        for alpha in alphas:
+            one = calibrate(variant, alpha, y, grid)
+            assert many[alpha].weights == one.weights
+            assert many[alpha].objective == one.objective
+            assert many[alpha].residuals.tobytes() == one.residuals.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -300,9 +318,7 @@ class TestFeasibleAlphas:
 
     def test_ga_small_alpha_infeasible_at_coarse_grid(self):
         grid = CalibrationGrid(ga_step=0.05)
-        feasible = feasible_alphas(
-            NovasVariant.GA, tuple(k / 10 for k in range(1, 9)), 250, grid
-        )
+        feasible = feasible_alphas(NovasVariant.GA, ALPHAS, 250, grid)
         assert 0.1 not in feasible
         assert any(a >= 0.5 for a in feasible)
 
@@ -310,14 +326,54 @@ class TestFeasibleAlphas:
     @pytest.mark.parametrize("variant", list(NovasVariant))
     def test_matches_calibration_success(self, variant, ga_step, model3_window):
         grid = CalibrationGrid(ga_step=ga_step)
-        alphas = tuple(k / 10 for k in range(1, 9))
-        feasible = feasible_alphas(variant, alphas, len(model3_window), grid)
-        for alpha in alphas:
+        feasible = feasible_alphas(variant, ALPHAS, len(model3_window), grid)
+        for alpha in ALPHAS:
             if alpha in feasible:
                 calibrate(variant, alpha, model3_window, grid)
             else:
                 with pytest.raises(CalibrationError):
                     calibrate(variant, alpha, model3_window, grid)
+
+
+class TestScanPlan:
+    """A scan scores each lag order once across every alpha, from a plan that
+    :func:`feasible_alphas` prepares before a backtest forks its workers."""
+
+    GRID = CalibrationGrid(ga_step=0.05)
+
+    @pytest.mark.parametrize(
+        "variant, orders",
+        [(NovasVariant.GE_NO_A0, 15), (NovasVariant.GA_NO_A0, 1)],
+        ids=["GE_NO_A0", "GA_NO_A0"],
+    )
+    def test_one_scoring_per_lag_order(self, variant, orders, model1_series, monkeypatch):
+        import novas.transform
+
+        calls = []
+        original = novas.transform._column_scores
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(novas.transform, "_column_scores", counting)
+        alphas = feasible_alphas(variant, ALPHAS, 250, self.GRID)
+        assert alphas == list(ALPHAS)
+        calibrate_many(variant, alphas, ReturnSeries(model1_series.values[:250]), self.GRID)
+        assert len(calls) == orders
+        assert calibrate_many(variant, (), ReturnSeries(model1_series.values[:250])) == {}
+
+    def test_feasible_alphas_prepares_the_scan(self, model1_series):
+        from novas.transform import _scan_plan
+
+        _scan_plan.cache_clear()
+        alphas = feasible_alphas(NovasVariant.GE, ALPHAS, 250, self.GRID)
+        assert _scan_plan.cache_info().misses == 1
+        calibrate_many(
+            NovasVariant.GE, alphas, ReturnSeries(model1_series.values[:250]), self.GRID
+        )
+        info = _scan_plan.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
 
 class TestSharedVariancePath:
@@ -339,11 +395,10 @@ class TestSharedVariancePath:
         # the name is patched wherever a module holds its own reference
         monkeypatch.setattr(novas.transform, "variance_path", counting, raising=False)
         grid = CalibrationGrid(ga_step=0.05)
-        alphas = tuple(k / 10 for k in range(1, 9))
         window = ReturnSeries(model1_series.values[:250])
         fitted = []
         for variant in NovasVariant:
-            usable = feasible_alphas(variant, alphas, len(window), grid)
+            usable = feasible_alphas(variant, ALPHAS, len(window), grid)
             fitted += calibrate_many(variant, usable, window, grid).values()
         forward_transform(window, fitted[-1].weights)
         assert len(fitted) > 20
@@ -365,13 +420,12 @@ class TestChosenPoints:
 
     def test_fixture_windows(self):
         grid = CalibrationGrid(ga_step=0.05)
-        alphas = tuple(k / 10 for k in range(1, 9))
         values = generate(ModelSpec(model="M1", n=280, seed=Seed(3))).values
         lines = []
         for w0 in range(30):
             window = ReturnSeries(values[w0 : w0 + 250])
             for variant in NovasVariant:
-                usable = feasible_alphas(variant, alphas, 250, grid)
+                usable = feasible_alphas(variant, ALPHAS, 250, grid)
                 for alpha, ct in calibrate_many(variant, usable, window, grid).items():
                     shape = ",".join(f"{x:.12g}" for x in ct.weights.shape)
                     lines.append(
