@@ -120,7 +120,10 @@ class BacktestConfig:
             raise DataError(f"risks must be among {risks}")
         check_paths(self.paths)
         if self.threads is None:
-            object.__setattr__(self, "threads", len(os.sched_getaffinity(0)))
+            # the CPUs this process may run on; only Linux can say
+            affinity = getattr(os, "sched_getaffinity", None)
+            usable = len(affinity(0)) if affinity else os.cpu_count() or 1
+            object.__setattr__(self, "threads", usable)
         elif self.threads < 1:
             raise DataError(f"threads must be at least 1, got {self.threads}")
         object.__setattr__(self, "horizons", tuple(sorted(set(self.horizons))))

@@ -30,6 +30,15 @@ from .transform import TRIM_GUARD, CalibratedTransform
 
 MIN_PATHS = 100
 
+# glibc serves a block above its mmap threshold (128 KiB at start) by a fresh
+# mapping and unmaps it on free, so without this every ensemble's (h, M)
+# arrays would be faulted in page by page on every call. Freeing a mapped
+# block raises the threshold to that block's size, after which same-size
+# arrays are reused from the heap. This block of 16 MiB (below glibc's 32 MiB
+# cap) is never touched, so it costs no resident memory. Elsewhere it is a
+# no-op, and a set MALLOC_MMAP_THRESHOLD_ turns the dynamic threshold off.
+np.empty(1 << 21)
+
 
 def check_paths(paths: int) -> None:
     """Reject an ensemble too small for its forecast to mean anything."""

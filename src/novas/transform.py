@@ -31,19 +31,18 @@ window length, grid) holds the weight sets
 :func:`~novas.weights.build_weights` admits on the grid, which alone decides
 admissibility; :func:`feasible_alphas` reads it too. A cached scan plan per
 (variant, alphas, window length, grid) groups the candidates of every
-requested alpha by lag order and holds each column's ``scale`` (``1 -
-alpha``, or 1 for GA's raw profiles, which turns a column into the weight
-set's lags), ``alpha``, ``eff`` and lag mass; :func:`feasible_alphas` builds
-it, so a backtest's forked workers inherit it. Neither part depends on the
-data. The scan then serves every variant: per lag order, one matrix product
-of the window's lagged squared returns and the grid's
-:func:`~novas.weights.lag_profile` columns, and one vectorized scoring of
-``scale * product + alpha * s2`` across the candidates of all alphas, whose
-objectives are split back per alpha for selection. The winning weight set is
-evaluated through the plain :func:`forward_transform` path, which is what the
-returned transform reports. Neither the scan nor that path recomputes the
-variance path ``s2``: every variant, alpha and returned transform of a
-window reads the one cached on its :class:`ReturnSeries`.
+requested alpha by lag order and holds, per order, the matrix of the
+candidates' own lag weights and each one's ``alpha``, ``eff`` and lag mass;
+:func:`feasible_alphas` builds it, so a backtest's forked workers inherit
+it. Neither part depends on the data. The scan then serves every variant:
+per lag order, one matrix product of the window's lagged squared returns and
+those lag weights, and one vectorized scoring of ``product + alpha * s2``
+across the candidates of all alphas, whose objectives are split back per
+alpha for selection. The winning weight set is evaluated through the plain
+:func:`forward_transform` path, which is what the returned transform
+reports. Neither the scan nor that path recomputes the variance path ``s2``:
+every variant, alpha and returned transform of a window reads the one
+cached on its :class:`ReturnSeries`.
 """
 
 from __future__ import annotations
@@ -64,13 +63,7 @@ from .errors import (
     TrimBoundError,
 )
 from .returns import ReturnSeries, sample_kurtosis
-from .weights import (
-    CalibrationGrid,
-    NovasVariant,
-    NovasWeights,
-    build_weights,
-    lag_profile,
-)
+from .weights import CalibrationGrid, NovasVariant, NovasWeights, build_weights
 
 # the inverse transform refuses a denominator ``1 - eff * W^2`` at or below
 # this: innovations are pre-trimmed to the weight set's bound, so reaching
@@ -168,9 +161,9 @@ def _column_scores(
     residuals) get objective +inf so selection skips them.
 
     Overwrites ``core`` and allocates at most one more ``(rows, columns)``
-    buffer, each in the memory order of the plain expression (the column
-    gather ``core`` column-major, ``core + y2 * eff`` row-major), because that
-    order decides how each column mean is summed.
+    buffer, each in the memory order the scan gives it (``core``
+    column-major, ``core + y2 * eff`` row-major), because that order decides
+    how each column mean is summed.
     """
     rows = values_tail.size
     y2 = (values_tail * values_tail)[:, None]
@@ -228,33 +221,12 @@ def _grid_shapes(variant: NovasVariant, grid: CalibrationGrid) -> list[tuple]:
 
 
 @functools.lru_cache(maxsize=128)
-def _unit_columns(variant: NovasVariant, order: int, grid: CalibrationGrid):
-    """Every grid shape's :func:`lag_profile` at ``order`` without GE's
-    contemporaneous term, one matrix column each in grid order."""
-    cols = np.column_stack(
-        [lag_profile(variant, shape, order) for shape in _grid_shapes(variant, grid)]
-    )
-    if variant is NovasVariant.GE:
-        cols = cols[1:]
-    cols.flags.writeable = False
-    return cols
-
-
-class _CandidateTable(NamedTuple):
-    """The admitted weight sets of one (variant, alpha, window length, grid)
-    in grid order, and each one's column in its order's
-    :func:`_unit_columns` matrix."""
-
-    weights: tuple[NovasWeights, ...]
-    columns: np.ndarray
-
-
-@functools.lru_cache(maxsize=128)
 def _candidate_table(
     variant: NovasVariant, alpha: float, n: int, grid: CalibrationGrid
-) -> _CandidateTable:
-    """Every weight set :func:`build_weights` admits on one variant's grid:
-    all that calibration needs that does not depend on the data.
+) -> tuple[NovasWeights, ...]:
+    """Every weight set :func:`build_weights` admits on one variant's grid,
+    in grid order: all that calibration needs that does not depend on the
+    data.
 
     The variants differ here only in each point's lag order: GE escalates it
     through :func:`ge_order_for`, GE_NO_A0 uses the adaptive order and the
@@ -273,18 +245,17 @@ def _candidate_table(
     else:
         order = min(grid.order_cap_for(n), cap)
         fits = [_admitted(variant, alpha, shape, order) for shape in shapes]
-    columns = np.array([j for j, w in enumerate(fits) if w is not None], dtype=int)
-    columns.flags.writeable = False
-    return _CandidateTable(tuple(fits[j] for j in columns), columns)
+    return tuple(w for w in fits if w is not None)
 
 
 class _ScanPlan(NamedTuple):
     """One scan over several alphas: each alpha's admitted weight sets, the
     bounds of each alpha's slice of the scan's flat candidate list, and one
-    ``(order, unit, slots, columns, scale, alpha, eff, mass)`` group per lag
-    order. ``unit`` is that order's :func:`_unit_columns` matrix; ``slots``
-    and ``columns`` place each candidate in the flat list and in ``unit``;
-    the rest turn its column into its weight set's score."""
+    ``(order, slots, lags, alpha, eff, mass)`` group per lag order.
+    ``slots`` places each of the order's candidates in the flat list, and
+    ``lags`` is the ``(order, k)`` matrix of their own lag weights, one
+    column each; ``alpha``, ``eff`` and ``mass`` hold each candidate's
+    alpha, contemporaneous weight and ``sum(lags)``."""
 
     weights: tuple[tuple[NovasWeights, ...], ...]
     bounds: tuple[int, ...]
@@ -295,34 +266,32 @@ class _ScanPlan(NamedTuple):
 def _scan_plan(
     variant: NovasVariant, alphas: tuple, n: int, grid: CalibrationGrid
 ) -> _ScanPlan:
-    """The index arrays of a scan over ``alphas``: like the candidate tables
-    they do not depend on the data, so each is built once."""
+    """The arrays of a scan over ``alphas``: like the candidate tables they
+    do not depend on the data, so each is built once."""
     tables = [_candidate_table(variant, alpha, n, grid) for alpha in alphas]
     for alpha, table in zip(alphas, tables):
-        if not table.weights:
+        if not table:
             raise CalibrationError(
                 f"no feasible grid point for {variant.value} at alpha={alpha}"
             )
-    counts = [len(table.weights) for table in tables]
-    weights = [w for table in tables for w in table.weights]
-    scales = [1.0 if variant is NovasVariant.GA else 1.0 - a for a in alphas]
-    per_column = (
-        np.array([j for table in tables for j in table.columns], dtype=int),
-        np.repeat(scales, counts),
-        np.repeat(np.asarray(alphas, dtype=float), counts),
-        np.array([w.y2_self_coef for w in weights]),
-        np.array([float(w.lags.sum()) for w in weights]),
-    )
+    weights = [w for table in tables for w in table]
     orders = np.array([w.order for w in weights])
     groups = []
     for order in np.unique(orders).tolist():
         slots = np.flatnonzero(orders == order)
-        arrays = [slots, *(column[slots] for column in per_column)]
+        group = [weights[j] for j in slots]
+        arrays = [
+            slots,
+            np.column_stack([w.lags for w in group]),
+            np.array([w.alpha for w in group]),
+            np.array([w.y2_self_coef for w in group]),
+            np.array([float(w.lags.sum()) for w in group]),
+        ]
         for a in arrays:
             a.flags.writeable = False
-        groups.append((order, _unit_columns(variant, order, grid), *arrays))
-    bounds = tuple(np.cumsum([0, *counts]).tolist())
-    return _ScanPlan(tuple(t.weights for t in tables), bounds, tuple(groups))
+        groups.append((order, *arrays))
+    bounds = tuple(np.cumsum([0, *map(len, tables)]).tolist())
+    return _ScanPlan(tuple(tables), bounds, tuple(groups))
 
 
 def feasible_alphas(
@@ -336,11 +305,7 @@ def feasible_alphas(
     workers inherit it instead of each building their own.
     """
     grid = grid or CalibrationGrid()
-    feasible = [
-        alpha
-        for alpha in alphas
-        if _candidate_table(variant, alpha, window_len, grid).weights
-    ]
+    feasible = [a for a in alphas if _candidate_table(variant, a, window_len, grid)]
     _scan_plan(variant, tuple(feasible), window_len, grid)
     return feasible
 
@@ -373,9 +338,11 @@ def calibrate_many(
     """Calibrate one variant at several alpha values over a shared window.
 
     Returns ``{alpha: CalibratedTransform}``. The alphas share the window's
-    variance path and lag products, and the cached scan plan scores the
-    candidates of every alpha at one lag order in one vectorized pass, so
-    this is the entry point the rolling backtest uses.
+    variance path and lagged squared returns. Per lag order of the cached
+    scan plan, one product of those lags with the candidates' own lag
+    weights gives every candidate's denominator ``D_t`` of every alpha, and
+    one vectorized pass scores them all, so this is the entry point the
+    rolling backtest uses.
     """
     grid = grid or CalibrationGrid()
     if len(y) < grid.min_window:
@@ -389,11 +356,12 @@ def calibrate_many(
     y2 = values * values
     objs = np.empty(plan.bounds[-1])
     mus = np.empty(plan.bounds[-1])
-    for order, unit, slots, columns, scale, alpha, eff, mass in plan.groups:
+    for order, slots, lags, alpha, eff, mass in plan.groups:
         # rows t = order..n-1 of lagged squared returns, newest first
-        lagged = sliding_window_view(y2[: n - 1], order)[:, ::-1]
-        core = (np.ascontiguousarray(lagged) @ unit)[:, columns]
-        core *= scale
+        lagged = np.ascontiguousarray(sliding_window_view(y2[: n - 1], order)[:, ::-1])
+        # the transposed product leaves core column-major, the order in which
+        # _column_scores sums each candidate's column
+        core = (lags.T @ lagged.T).T
         core += s2[order:n, None] * alpha
         objs[slots], mus[slots] = _column_scores(values[order:], core, eff, mass)
     return {

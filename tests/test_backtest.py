@@ -236,6 +236,13 @@ class TestDeterminism:
     def test_default_worker_count_is_usable_cpus(self):
         assert small_config(threads=None).threads == len(os.sched_getaffinity(0))
 
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_default_worker_count_without_affinity(self, cpus, workers, monkeypatch):
+        # os.sched_getaffinity exists only on Linux
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert small_config(threads=None).threads == workers
+
     def test_seed_changes_predictions(self, short_series, small_report):
         other = run_rolling_poos(short_series, small_config(seed=Seed(8)))
         some_key = next(

@@ -1,11 +1,12 @@
-"""Byte digests of the ensemble outputs.
+"""Byte digests of the calibration and ensemble outputs.
 
-Pins the exact bits of :func:`simulate_paths` (every variant, both innovation
-kinds), of every :class:`ForecastResult` field of :func:`predict` (both
-statistics, both risks), and of the predictions of a short rolling backtest.
-A rewrite of the draw, simulate or reduce path that changes any bit of any of
-them fails here; a change that is meant to alter outputs must update these
-digests and say why.
+Pins the exact bits of :func:`calibrate_many` (every variant over the fixture
+alphas, both grids), of :func:`simulate_paths` (every variant, both
+innovation kinds), of every :class:`ForecastResult` field of :func:`predict`
+(both statistics, both risks), and of the predictions of a short rolling
+backtest. A rewrite of the calibrate, draw, simulate or reduce path that
+changes any bit of any of them fails here; a change that is meant to alter
+outputs must update these digests and say why.
 """
 
 import hashlib
@@ -17,11 +18,14 @@ from novas import (
     BacktestConfig,
     ForecastRequest,
     NovasVariant,
+    ReturnSeries,
     Risk,
     Seed,
     SourceKind,
     Statistic,
     calibrate,
+    calibrate_many,
+    feasible_alphas,
     generate,
     innovation_source,
     predict,
@@ -55,9 +59,39 @@ def digest(*parts) -> str:
 
 
 @pytest.fixture(scope="module")
-def transforms():
-    y = generate(ModelSpec(model="M3", n=300, seed=Seed(17)))
-    return {v: calibrate(v, alpha, y) for v, alpha in ALPHAS.items()}
+def model3_series():
+    return generate(ModelSpec(model="M3", n=300, seed=Seed(17)))
+
+
+@pytest.fixture(scope="module")
+def transforms(model3_series):
+    return {v: calibrate(v, alpha, model3_series) for v, alpha in ALPHAS.items()}
+
+
+FIXTURE_ALPHAS = tuple(k / 10 for k in range(1, 9))
+GRIDS = {"ga_step=0.05": CalibrationGrid(ga_step=0.05), "default": CalibrationGrid()}
+CALIBRATE = {
+    ("M1", "ga_step=0.05"): "8ad025e8a9254913",
+    ("M1", "default"): "e29c2e5c4a1e17f2",
+    ("M3", "ga_step=0.05"): "a90df645dc3ebfec",
+    ("M3", "default"): "683f135d3e7184a4",
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("model", ["M1", "M3"])
+def test_calibrate_many_digest(model3_series, model, grid):
+    if model == "M1":
+        # returns 0-249 of the M1 series the calibration tests use
+        y = ReturnSeries(generate(ModelSpec(model="M1", n=500, seed=Seed(3))).values[:250])
+    else:
+        y = model3_series
+    parts = []
+    for variant in NovasVariant:
+        alphas = feasible_alphas(variant, FIXTURE_ALPHAS, len(y), GRIDS[grid])
+        for alpha, ct in calibrate_many(variant, alphas, y, GRIDS[grid]).items():
+            parts += [alpha, ct.weights.to_dict(), ct.objective, ct.residuals]
+    assert digest(*parts) == CALIBRATE[model, grid]
 
 
 # every ensemble runs its variance live; the cases keep the "live" id they

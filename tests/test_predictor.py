@@ -1,4 +1,5 @@
 import math
+import platform
 import re
 
 import numpy as np
@@ -36,6 +37,7 @@ from novas.predictor import _median, aggregated_squared, ensemble_points
 from novas.returns import variance_path, welford_update
 from novas.simulate import ModelSpec
 
+from test_imports import last_line_printed
 from oracles import (
     oracle_running_means,
     oracle_simulate_path,
@@ -464,3 +466,32 @@ class TestPredict:
         }
         assert payload["M"] == 150
         assert payload["seed"] == 1
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="reads glibc's mmap threshold"
+)
+def test_predict_reuses_its_memory():
+    # a fresh process that runs no GA-sized calibration first: predict's
+    # (h, M) arrays must come from the heap, not from mappings faulted in on
+    # every call. A MALLOC_MMAP_THRESHOLD_ set in the environment turns
+    # glibc's dynamic threshold off and this test with it (about 1,200
+    # faults per call); that is the user's choice of allocator settings
+    script = """
+import resource
+from novas import (ForecastRequest, NovasVariant, Seed, SourceKind, calibrate, generate,
+                   innovation_source, predict)
+from novas.simulate import ModelSpec
+
+y = generate(ModelSpec(model="M1", n=250, seed=Seed(3)))
+ct = calibrate(NovasVariant.GA_NO_A0, 0.5, y)
+req = ForecastRequest(horizon=30, source=innovation_source(ct, SourceKind.TRIMMED_NORMAL),
+                      paths=5000, seed=Seed(1))
+for _ in range(3):
+    predict(ct, req)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    predict(ct, req)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+    assert float(last_line_printed(script)) < 50

@@ -213,6 +213,6 @@ def test_admitted_profiles_are_geometric(variant):
     # must fail here rather than be simulated wrongly
     grid = CalibrationGrid()
     for alpha in (k / 10 for k in range(1, 9)):
-        for w in _candidate_table(variant, alpha, 250, grid).weights:
+        for w in _candidate_table(variant, alpha, 250, grid):
             expected = w.lags[0] * w.ratio ** np.arange(w.order)
             np.testing.assert_allclose(w.lags, expected, rtol=1e-12, atol=0)
