@@ -8,13 +8,14 @@ realized aggregates. All methods see identical windows and identical truth
 sequences; every random stream is derived from (seed, window, method), so
 reports do not depend on the parallel schedule.
 
-A window has no forecasting code of its own: it runs the draw, simulation,
-aggregate and reduce of ``predict`` (the GARCH bootstrap draws its paths
-with ``garch_bootstrap_paths``) under its own substreams, on one ensemble
-per method drawn at its largest horizon. One running sum over the
-ensemble's step-major squares gives the per-path means at every horizon of
-the window, and one ``ensemble_points`` call reduces them to the L2 and L1
-points at every horizon.
+A window has no forecasting code of its own. Its ensembles come from two
+producers, under its own substreams, each drawn once per method at the
+window's largest horizon: every NoVaS ensemble from ``simulate_squares``,
+the one that ``predict`` calls, and the GARCH bootstrap's from
+``garch_bootstrap_squares``. Both hand back step-major squares. One running
+sum over them gives the per-path means at every horizon of the window, and
+one ``ensemble_points`` call reduces those to the L2 and L1 points at every
+horizon.
 
 Windows are independent, so they run in a pool of forked worker processes
 (``BacktestConfig.threads`` of them, by default one per usable CPU). The
@@ -38,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CalibrationError, DataError, FitError
-from .garch import fit_garch11_mle, garch_bootstrap_paths, garch_direct_forecast
+from .garch import fit_garch11_mle, garch_bootstrap_squares, garch_direct_forecast
 from .innovations import Seed, SourceKind, substream
 from .predictor import (
     Risk,
@@ -46,7 +47,7 @@ from .predictor import (
     check_paths,
     ensemble_points,
     innovation_source,
-    simulate_paths,
+    simulate_squares,
 )
 from .returns import ReturnSeries
 from .transform import CalibrationGrid, calibrate_many, feasible_alphas
@@ -241,10 +242,9 @@ def _run_window(
             for kind in cfg.kinds:
                 source = innovation_source(ct, KIND_TO_SOURCE[kind])
                 gen = substream(cfg.seed, _DOMAIN_NOVAS, w0, vi, ai, _KIND_INDEX[kind])
-                draws = source.draw(gen, (cfg.paths, h_top))
-                paths = simulate_paths(ct, draws)
+                squares = simulate_squares(ct, source, gen, cfg.paths, h_top)
                 _store_points(preds, MethodKey(variant.value, alpha, None, kind),
-                              np.square(paths.T), h_here, cfg.risks)
+                              squares, h_here, cfg.risks)
 
     try:
         fit = fit_garch11_mle(window_returns)
@@ -258,9 +258,8 @@ def _run_window(
         preds[_BENCHMARK] = {h: float(vcum[h - 1] / h) for h in h_here}
         if cfg.include_garch_bootstrap:
             gen = substream(cfg.seed, _DOMAIN_GARCH_BOOT, w0)
-            paths = garch_bootstrap_paths(fit, gen, cfg.paths, h_top)
-            _store_points(preds, MethodKey("GARCH_BOOT"),
-                          np.square(paths.T, order="C"), h_here, cfg.risks)
+            squares = garch_bootstrap_squares(fit, gen, cfg.paths, h_top)
+            _store_points(preds, MethodKey("GARCH_BOOT"), squares, h_here, cfg.risks)
     return preds, dead_families
 
 

@@ -418,12 +418,17 @@ def garch_direct_forecast(fit: GarchFit, last_y2: float, h: int) -> np.ndarray:
     return out
 
 
-def garch_bootstrap_paths(
+def garch_bootstrap_squares(
     fit: GarchFit, gen: np.random.Generator, M: int, h: int
 ) -> np.ndarray:
-    """``(M, h)`` bootstrap paths from a fitted model: fitted volatilities
-    resampled i.i.d. (drawn first), each times a fresh standard-normal
-    innovation (drawn second)."""
-    sig_star = gen.choice(np.sqrt(fit.sigma2_path), size=(M, h), replace=True)
-    return sig_star * gen.standard_normal((M, h))
+    """The step-major ``(h, M)`` squares of ``M`` bootstrap paths of ``h``
+    steps from a fitted model, one contiguous row per step.
 
+    Each path value is a fitted volatility resampled i.i.d. (all drawn
+    first, as an ``(M, h)`` matrix) times a fresh standard-normal innovation
+    (drawn second, in the same shape); the squares come in the layout of
+    ``predictor.simulate_squares``.
+    """
+    paths = gen.choice(np.sqrt(fit.sigma2_path), size=(M, h), replace=True)
+    paths *= gen.standard_normal((M, h))
+    return np.square(paths.T, order="C")

@@ -61,10 +61,17 @@ class InnovationSource:
     residual_pool: np.ndarray | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", SourceKind(self.kind))
+        except ValueError:
+            raise DataError(f"unknown innovation source kind {self.kind!r}") from None
         if self.kind is SourceKind.EMPIRICAL:
             pool = np.asarray(self.residual_pool, dtype=float)
-            if pool.size == 0:
-                raise DataError("empirical innovation source needs a nonempty pool")
+            if pool.ndim != 1 or pool.size == 0 or not np.isfinite(pool).all():
+                raise DataError(
+                    "empirical innovation source needs a nonempty 1-D pool of "
+                    f"finite residuals, got shape {pool.shape}"
+                )
             object.__setattr__(self, "residual_pool", pool)
         else:
             if not self.bound > 0.0:

@@ -1,17 +1,18 @@
 """Monte-Carlo multi-step prediction through the inverse transform.
 
-The library's one ensemble path, taken by :func:`predict` and every backtest
-window: ``M`` innovation vectors of length ``h`` go through the inverse
+The library's one ensemble path, :func:`simulate_squares`, taken by
+:func:`predict` and every NoVaS ensemble of a backtest window: ``M``
+innovation vectors of length ``h`` are drawn and go through the inverse
 transform (:func:`simulate_paths`), each pseudo-return feeding back into the
 lag window and the recursive variance. Every lag profile is
 geometric, so a path's lag window is one running sum, O(1) state per path
 whatever the lag order. Each step writes its signed roots into one row of a
-step-major ``(h, M)`` array, and the ensemble comes back as its ``(M, h)``
-transpose: each step's values are contiguous. Its step-major squares are
-reduced by :func:`aggregated_squared`, one running sum per path, to the
-per-path means at the horizons asked for, as are the GARCH bootstrap's
-paths; one :func:`ensemble_points` call per ensemble reduces those rows to
-the ensemble means (the L2 points) and medians (the L1 points) at every
+step-major ``(h, M)`` array, and the ensemble comes back as the step-major
+squares of those rows, the layout ``garch.garch_bootstrap_squares`` gives
+the GARCH bootstrap too. :func:`aggregated_squared` reduces the squares, one
+running sum per path, to the per-path means at the horizons asked for, and
+one :func:`ensemble_points` call per ensemble reduces those rows to the
+ensemble means (the L2 points) and medians (the L1 points) at every
 horizon. Every median is exact and taken by one selection pass
 (:func:`_median`), bit-identical to ``np.median``.
 """
@@ -132,11 +133,12 @@ class ForecastRequest:
         if self.horizon < 1:
             raise DataError(f"horizon {self.horizon} must be >= 1")
         check_paths(self.paths)
-        try:
-            statistic = Statistic(self.statistic)
-        except ValueError:
-            raise DataError(f"unknown statistic {self.statistic!r}") from None
-        object.__setattr__(self, "statistic", statistic)
+        for name, cls in (("statistic", Statistic), ("risk", Risk)):
+            try:
+                object.__setattr__(self, name, cls(getattr(self, name)))
+            except ValueError:
+                raise DataError(f"unknown {name} {getattr(self, name)!r}") from None
+        object.__setattr__(self, "seed", Seed.of(self.seed))
 
 
 @dataclass(frozen=True)
@@ -235,10 +237,23 @@ def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarr
     return wt.T
 
 
+def simulate_squares(
+    ct: CalibratedTransform, source: InnovationSource, gen: np.random.Generator,
+    paths: int, h: int,
+) -> np.ndarray:
+    """The step-major ``(h, M)`` squares of an ensemble of ``paths`` futures.
+
+    Draws a ``(paths, h)`` innovation matrix from ``source`` with ``gen``,
+    pushes it through :func:`simulate_paths` and squares the step-major
+    signed roots once, so each step's squares are one contiguous row.
+    """
+    signed = simulate_paths(ct, source.draw(gen, (paths, h)))
+    return np.square(signed.T)
+
+
 def innovation_source(ct: CalibratedTransform, kind) -> InnovationSource:
     """The innovation source a calibrated transform implies for each kind."""
-    kind = SourceKind(kind)
-    if kind is SourceKind.EMPIRICAL:
+    if kind == SourceKind.EMPIRICAL:
         return InnovationSource(kind, residual_pool=ct.residuals)
     return InnovationSource(kind, bound=ct.weights.trim_bound)
 
@@ -246,15 +261,13 @@ def innovation_source(ct: CalibratedTransform, kind) -> InnovationSource:
 def predict(ct: CalibratedTransform, req: ForecastRequest) -> ForecastResult:
     """Risk-optimal predictor of the requested path statistic.
 
-    Draws ``paths x horizon`` innovations from the request's source, runs the
-    ensemble, applies the statistic per path, and reduces with the exact mean
-    (L2) and exact median (L1). Fully determined by ``(seed, request, ct)``.
+    Simulates the squares of ``paths`` futures of ``horizon`` steps from the
+    request's source (:func:`simulate_squares`), applies the statistic per
+    path, and reduces with the exact mean (L2) and exact median (L1). Fully
+    determined by ``(seed, request, ct)``.
     """
     gen = substream(req.seed)
-    draws = req.source.draw(gen, (req.paths, req.horizon))
-    paths = simulate_paths(ct, draws)
-    # step-major squares, one contiguous row per step, taken once
-    squares = np.square(paths.T)
+    squares = simulate_squares(ct, req.source, gen, req.paths, req.horizon)
     (mean,), (median,) = ensemble_points(req.statistic.per_path(squares))
 
     stepwise = None
@@ -265,13 +278,12 @@ def predict(ct: CalibratedTransform, req: ForecastRequest) -> ForecastResult:
         # squares in place
         stepwise = float(np.mean(_median(squares)))
 
-    risk = Risk(req.risk)
     return ForecastResult(
-        point=mean if risk is Risk.L2 else median,
+        point=mean if req.risk is Risk.L2 else median,
         ensemble_mean=mean,
         ensemble_median=median,
         horizon=req.horizon,
-        risk=risk,
+        risk=req.risk,
         statistic=req.statistic.value,
         paths=req.paths,
         seed=req.seed,

@@ -249,3 +249,20 @@ def oracle_running_means(path) -> list[float]:
         total += float(v) * float(v)
         out.append(total / h)
     return out
+
+
+def oracle_garch_bootstrap_paths(sigma2_path, gen, M: int, h: int) -> list[list[float]]:
+    """``M`` GARCH bootstrap paths of ``h`` steps, each value a fitted
+    volatility resampled i.i.d. times a standard normal, as plain lists.
+
+    The draws come from ``gen`` in the bootstrap's order: the index of every
+    volatility of the ``(M, h)`` path matrix first, row by row, then every
+    normal in the same order.
+    """
+    vols = [math.sqrt(float(v)) for v in sigma2_path]
+    picks = gen.integers(0, len(vols), size=(M, h)).tolist()
+    normals = gen.standard_normal((M, h)).tolist()
+    return [
+        [vols[i] * w for i, w in zip(pick_row, normal_row)]
+        for pick_row, normal_row in zip(picks, normals)
+    ]

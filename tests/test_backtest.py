@@ -28,11 +28,13 @@ from novas import (
     substream,
 )
 import novas.backtest
+import novas.predictor
 from novas.backtest import KIND_TO_SOURCE, KINDS
-from novas.garch import garch_bootstrap_paths
 from novas.predictor import MIN_PATHS, aggregated_squared
 from novas.simulate import ModelSpec
 from novas.weights import CalibrationGrid
+
+from oracles import oracle_garch_bootstrap_paths
 
 FAST_GRID = CalibrationGrid(ge_c_count=6, ga_step=0.2)
 
@@ -40,7 +42,7 @@ FAST_GRID = CalibrationGrid(ge_c_count=6, ga_step=0.2)
 def running_means(paths, horizons):
     """Per-path means of an ``(M, h)`` ensemble's first ``h`` squares at
     each horizon, through the library's reduction of its step-major squares."""
-    return aggregated_squared(np.square(paths.T, order="C"), horizons)
+    return aggregated_squared(np.square(np.asarray(paths).T, order="C"), horizons)
 
 
 def numpy_point(stats, risk):
@@ -224,7 +226,7 @@ class TestDeterminism:
         def broken(*args, **kwargs):
             raise TrimBoundError("denominator below the guard")
 
-        monkeypatch.setattr(novas.backtest, "simulate_paths", broken)
+        monkeypatch.setattr(novas.predictor, "simulate_paths", broken)
         with pytest.raises(TrimBoundError, match="denominator below the guard"):
             run_rolling_poos(short_series, small_config(threads=2))
 
@@ -233,6 +235,8 @@ class TestDeterminism:
         with pytest.raises(DataError, match="threads must be at least 1"):
             small_config(threads=workers)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="os.sched_getaffinity exists only on Linux")
     def test_default_worker_count_is_usable_cpus(self):
         assert small_config(threads=None).threads == len(os.sched_getaffinity(0))
 
@@ -284,7 +288,7 @@ class TestLibraryPath:
                             expected[key] = aggs, risk
             gen = substream(cfg.seed, novas.backtest._DOMAIN_GARCH_BOOT, w0)
             fit = fit_garch11_mle(window)
-            paths = garch_bootstrap_paths(fit, gen, cfg.paths, h_top)
+            paths = oracle_garch_bootstrap_paths(fit.sigma2_path, gen, cfg.paths, h_top)
             for risk in cfg.risks:
                 key = MethodKey("GARCH_BOOT", None, risk, None)
                 expected[key] = running_means(paths, h_here), risk
@@ -314,7 +318,7 @@ class TestLibraryPath:
         report = run_rolling_poos(short_series, cfg)
         fit = fit_garch11_mle(ReturnSeries(short_series.values[:81]))
         gen = substream(cfg.seed, novas.backtest._DOMAIN_GARCH_BOOT, 0)
-        paths = garch_bootstrap_paths(fit, gen, 200, 9)
+        paths = oracle_garch_bootstrap_paths(fit.sigma2_path, gen, 200, 9)
         got = report.predictions[MethodKey("GARCH_BOOT", None, risk.value, None)][9][0]
         assert got == numpy_point(running_means(paths, [9])[0], risk)
 

@@ -20,11 +20,11 @@ from novas import (
     substream,
 )
 import novas.garch as garch
-from novas.garch import _STARTS, _derivatives, _loglik, garch_bootstrap_paths
+from novas.garch import _STARTS, _derivatives, _loglik, garch_bootstrap_squares
 from novas.predictor import aggregated_squared
 from novas.simulate import ModelSpec
 
-from oracles import oracle_garch_loglik
+from oracles import oracle_garch_bootstrap_paths, oracle_garch_loglik
 
 
 def loglik_and_score(params, values, sigma2_init):
@@ -314,8 +314,8 @@ class TestDirectForecast:
 def bootstrap_point(fit, h, M, risk, seed):
     """The GARCH bootstrap forecast of the mean ``h``-step square, reduced
     as a backtest window reduces it."""
-    paths = garch_bootstrap_paths(fit, substream(seed), M, h)
-    stats = aggregated_squared(np.square(paths.T, order="C"), [h])[0]
+    squares = garch_bootstrap_squares(fit, substream(seed), M, h)
+    stats = aggregated_squared(squares, [h])[0]
     return float(np.mean(stats) if risk is Risk.L2 else np.median(stats))
 
 
@@ -339,11 +339,22 @@ class TestBootstrapForecast:
         y = generate(ModelSpec(model="M3", n=200, seed=Seed(4)))
         fit = fit_garch11_mle(y)
         np.testing.assert_array_equal(
-            garch_bootstrap_paths(fit, substream(Seed(9)), 1000, 5),
-            garch_bootstrap_paths(fit, substream(Seed(9)), 1000, 5),
+            garch_bootstrap_squares(fit, substream(Seed(9)), 1000, 5),
+            garch_bootstrap_squares(fit, substream(Seed(9)), 1000, 5),
         )
         a = bootstrap_point(fit, 5, 1000, Risk.L1, Seed(9))
         assert a == bootstrap_point(fit, 5, 1000, Risk.L1, Seed(9))
+
+    def test_squares_are_the_paths_squared_step_major(self):
+        # every volatility drawn first, then every normal, both path by path;
+        # the squares come back one contiguous row per step
+        y = generate(ModelSpec(model="M3", n=200, seed=Seed(4)))
+        fit = fit_garch11_mle(y)
+        squares = garch_bootstrap_squares(fit, substream(Seed(6)), 70, 4)
+        paths = oracle_garch_bootstrap_paths(fit.sigma2_path, substream(Seed(6)), 70, 4)
+        assert squares.shape == (4, 70) and squares.flags.c_contiguous
+        want = [[path[k] * path[k] for path in paths] for k in range(4)]
+        assert squares.tobytes() == np.array(want).tobytes()
 
     def test_two_seeds_converge_at_large_m(self):
         y = generate(ModelSpec(model="M3", n=400, seed=Seed(8)))

@@ -137,6 +137,29 @@ def test_one_median_path(path):
     assert not calls, calls
 
 
+# every ensemble is drawn and simulated in predictor.simulate_squares; a
+# draw or simulate_paths call anywhere else would be a second ensemble path
+ENSEMBLE_STEPS = {"simulate_paths", "draw"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_ensemble_path(path):
+    tree = ast.parse(path.read_text())
+    helper = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "simulate_squares"
+    ]
+    inside = {id(n) for fn in helper for n in ast.walk(fn)}
+    calls = [
+        f"line {node.lineno}: {ast.unparse(node.func)}("
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in inside
+        and (getattr(node.func, "id", None) == "simulate_paths"
+             or getattr(node.func, "attr", None) in ENSEMBLE_STEPS)
+    ]
+    assert not calls, calls
+
+
 # a public function or class that no code of the program names is an entry
 # point that only tests reach, and a defaulted parameter that no call of the
 # program passes is a knob that only tests turn; each allowed one says why it

@@ -153,6 +153,25 @@ class TestInnovationSource:
         with pytest.raises(DataError):
             InnovationSource(SourceKind.EMPIRICAL, residual_pool=np.array([]))
 
+    def test_kind_name_normalized(self):
+        # a kind given by name draws from its pool, not standard normals
+        src = InnovationSource("EMPIRICAL", residual_pool=[5.0])
+        assert src.kind is SourceKind.EMPIRICAL
+        assert set(src.draw(substream(Seed(2)), (3, 4)).ravel()) == {5.0}
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(DataError, match="unknown innovation source kind 'BOGUS'"):
+            InnovationSource("BOGUS")
+
+    @pytest.mark.parametrize(
+        "pool",
+        [None, 0.5, [[1.0, -1.0]], [1.0, np.nan], [np.inf, -1.0]],
+        ids=["none", "scalar", "2d", "nan", "inf"],
+    )
+    def test_empirical_pool_must_be_finite_and_1d(self, pool):
+        with pytest.raises(DataError, match="nonempty 1-D pool of finite residuals"):
+            InnovationSource(SourceKind.EMPIRICAL, residual_pool=pool)
+
     def test_trimmed_bound_admissibility(self):
         with pytest.raises(DataError, match="< 3"):
             InnovationSource(SourceKind.TRIMMED_NORMAL, bound=2.5)

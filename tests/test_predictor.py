@@ -31,7 +31,7 @@ from novas import (
     simulate_paths,
 )
 import novas.predictor
-from novas.garch import fit_garch11_mle, garch_bootstrap_paths
+from novas.garch import fit_garch11_mle
 from novas.innovations import substream
 from novas.predictor import _median, aggregated_squared, ensemble_points
 from novas.returns import variance_path, welford_update
@@ -39,6 +39,7 @@ from novas.simulate import ModelSpec
 
 from test_imports import last_line_printed
 from oracles import (
+    oracle_garch_bootstrap_paths,
     oracle_running_means,
     oracle_simulate_path,
     oracle_welford_variance_path,
@@ -160,8 +161,10 @@ class TestAggregatedSquared:
         source = innovation_source(ct, SourceKind.EMPIRICAL)
         step_major = simulate_paths(ct, source.draw(substream(Seed(2)), (120, 12)))
         fit = fit_garch11_mle(ct.history)
-        path_major = garch_bootstrap_paths(fit, substream(Seed(2)), 120, 12)
-        assert step_major.T.flags.c_contiguous and path_major.flags.c_contiguous
+        path_major = np.array(
+            oracle_garch_bootstrap_paths(fit.sigma2_path, substream(Seed(2)), 120, 12)
+        )
+        assert step_major.T.flags.c_contiguous
         return {"simulate_paths": step_major, "garch_bootstrap_paths": path_major}
 
     @pytest.mark.parametrize("horizons", [[12], [1, 5, 12], list(range(1, 13)), [3]])
@@ -414,6 +417,24 @@ class TestPredict:
                 source=innovation_source(fitted["GE"], SourceKind.TRIMMED_NORMAL),
                 statistic=lambda paths: np.abs(paths[:, -1]),
             )
+
+    def test_int_seed_normalized(self, fitted):
+        # an int seed gives the result its Seed, so it equals the Seed(5)
+        # result and serializes
+        source = innovation_source(fitted["GE"], SourceKind.TRIMMED_NORMAL)
+        by_int = predict(fitted["GE"], ForecastRequest(2, source, paths=150, seed=5))
+        by_seed = predict(fitted["GE"], ForecastRequest(2, source, paths=150, seed=Seed(5)))
+        assert by_int.seed == Seed(5)
+        assert by_int == by_seed
+        assert forecast_json(by_int, "GE/mc", "GE", 0.5)["seed"] == 5
+
+    def test_risk_normalized_and_unknown_refused(self, fitted):
+        source = innovation_source(fitted["GE"], SourceKind.TRIMMED_NORMAL)
+        req = ForecastRequest(horizon=1, source=source, paths=150, risk="L1")
+        assert req.risk is Risk.L1
+        # refused when the request is made, before any ensemble is simulated
+        with pytest.raises(DataError, match="unknown risk 'L3'"):
+            ForecastRequest(horizon=1, source=source, risk="L3")
 
     def test_min_paths_enforced(self, fitted):
         with pytest.raises(DataError, match="minimum"):
