@@ -15,7 +15,9 @@ the one that ``predict`` calls, and the GARCH bootstrap's from
 ``garch_bootstrap_squares``. Both hand back step-major squares. One running
 sum over them gives the per-path means at every horizon of the window, and
 one ``ensemble_points`` call reduces those to the L2 and L1 points at every
-horizon.
+horizon. Each ensemble's squares go straight into that reduction and no name
+keeps them, so a window holds one ensemble at a time: the next draw starts
+only after the last one's squares are freed.
 
 Windows are independent, so they run in a pool of forked worker processes
 (``BacktestConfig.threads`` of them, by default one per usable CPU). The
@@ -199,8 +201,11 @@ def _novas_methods(cfg: BacktestConfig, usable: dict[NovasVariant, tuple[float, 
 
 def _store_points(preds, method: MethodKey, squares, h_here, risks) -> None:
     """Reduce one ensemble's step-major squares to its points at every
-    horizon in ``h_here`` and store them under ``method`` with each risk."""
-    means, medians = ensemble_points(aggregated_squared(squares, h_here))
+    horizon in ``h_here`` and store them under ``method`` with each risk;
+    the medians are taken only when an L1 point is asked for."""
+    means, medians = ensemble_points(
+        aggregated_squared(squares, h_here), medians=Risk.L1.value in risks
+    )
     for risk in risks:
         points = means if Risk(risk) is Risk.L2 else medians
         preds[replace(method, risk=risk)] = dict(zip(h_here, points))
@@ -242,9 +247,9 @@ def _run_window(
             for kind in cfg.kinds:
                 source = innovation_source(ct, KIND_TO_SOURCE[kind])
                 gen = substream(cfg.seed, _DOMAIN_NOVAS, w0, vi, ai, _KIND_INDEX[kind])
-                squares = simulate_squares(ct, source, gen, cfg.paths, h_top)
                 _store_points(preds, MethodKey(variant.value, alpha, None, kind),
-                              squares, h_here, cfg.risks)
+                              simulate_squares(ct, source, gen, cfg.paths, h_top),
+                              h_here, cfg.risks)
 
     try:
         fit = fit_garch11_mle(window_returns)
@@ -258,8 +263,9 @@ def _run_window(
         preds[_BENCHMARK] = {h: float(vcum[h - 1] / h) for h in h_here}
         if cfg.include_garch_bootstrap:
             gen = substream(cfg.seed, _DOMAIN_GARCH_BOOT, w0)
-            squares = garch_bootstrap_squares(fit, gen, cfg.paths, h_top)
-            _store_points(preds, MethodKey("GARCH_BOOT"), squares, h_here, cfg.risks)
+            _store_points(preds, MethodKey("GARCH_BOOT"),
+                          garch_bootstrap_squares(fit, gen, cfg.paths, h_top),
+                          h_here, cfg.risks)
     return preds, dead_families
 
 

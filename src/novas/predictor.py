@@ -12,9 +12,9 @@ squares of those rows, the layout ``garch.garch_bootstrap_squares`` gives
 the GARCH bootstrap too. :func:`aggregated_squared` reduces the squares, one
 running sum per path, to the per-path means at the horizons asked for, and
 one :func:`ensemble_points` call per ensemble reduces those rows to the
-ensemble means (the L2 points) and medians (the L1 points) at every
-horizon. Every median is exact and taken by one selection pass
-(:func:`_median`), bit-identical to ``np.median``.
+ensemble means (the L2 points) and, unless no L1 point is asked for, the
+medians (the L1 points) at every horizon. Every median is exact and taken
+by one selection pass (:func:`_median`), bit-identical to ``np.median``.
 """
 
 from __future__ import annotations
@@ -93,17 +93,20 @@ def _median(values: np.ndarray):
     return np.where(np.isnan(top), top, mid)
 
 
-def ensemble_points(rows: np.ndarray) -> tuple[list[float], list[float]]:
+def ensemble_points(
+    rows: np.ndarray, medians: bool = True
+) -> tuple[list[float], list[float] | None]:
     """The risk-optimal points of an ``(H, M)`` matrix of per-path
     statistics, one row per horizon: the row means (the L2 points), then the
     exact row medians (the L1 points), as Python floats.
 
     Each mean is bit-identical to ``np.mean`` of its row. The means are taken
     first, because the medians' one selection pass partitions ``rows`` in
-    place.
+    place. With ``medians`` false that pass is skipped, ``rows`` is left as
+    it was and ``None`` stands for the medians.
     """
     means = rows.mean(axis=1).tolist()
-    return means, _median(rows).tolist()
+    return means, _median(rows).tolist() if medians else None
 
 
 class Statistic(str, enum.Enum):
@@ -244,11 +247,12 @@ def simulate_squares(
     """The step-major ``(h, M)`` squares of an ensemble of ``paths`` futures.
 
     Draws a ``(paths, h)`` innovation matrix from ``source`` with ``gen``,
-    pushes it through :func:`simulate_paths` and squares the step-major
-    signed roots once, so each step's squares are one contiguous row.
+    pushes it through :func:`simulate_paths` and squares its fresh
+    step-major signed roots in place, so each step's squares are one
+    contiguous row and the ensemble holds no fourth ``(h, M)`` block.
     """
-    signed = simulate_paths(ct, source.draw(gen, (paths, h)))
-    return np.square(signed.T)
+    signed = simulate_paths(ct, source.draw(gen, (paths, h))).T
+    return np.square(signed, out=signed)
 
 
 def innovation_source(ct: CalibratedTransform, kind) -> InnovationSource:

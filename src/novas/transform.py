@@ -277,7 +277,8 @@ def _scan_plan(
     weights = [w for table in tables for w in table]
     orders = np.array([w.order for w in weights])
     groups = []
-    for order in np.unique(orders).tolist():
+    # not np.unique, whose masked-array check imports numpy.ma
+    for order in sorted({w.order for w in weights}):
         slots = np.flatnonzero(orders == order)
         group = [weights[j] for j in slots]
         arrays = [

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,16 @@ class TestDeterminism:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert small_config(threads=None).threads == workers
 
+    def test_l2_only_run_predicts_as_the_both_risk_run(self, short_series, small_report):
+        # an L2-only run skips the medians, which must not touch the means
+        single = run_rolling_poos(short_series, small_config(risks=("L2",)))
+        keys = [m for m in small_report.predictions if m.risk in ("L2", None)]
+        assert set(single.predictions) == set(keys)
+        for m in keys:
+            for h, arr in small_report.predictions[m].items():
+                assert single.predictions[m][h].tobytes() == arr.tobytes(), (
+                    m.label(), h)
+
     def test_seed_changes_predictions(self, short_series, small_report):
         other = run_rolling_poos(short_series, small_config(seed=Seed(8)))
         some_key = next(
@@ -321,6 +332,28 @@ class TestLibraryPath:
         paths = oracle_garch_bootstrap_paths(fit.sigma2_path, gen, 200, 9)
         got = report.predictions[MethodKey("GARCH_BOOT", None, risk.value, None)][9][0]
         assert got == numpy_point(running_means(paths, [9])[0], risk)
+
+
+class TestWorkingSet:
+    def test_window_holds_one_ensemble_at_a_time(self):
+        # A NoVaS ensemble peaks at three (h, M) blocks while it simulates:
+        # the draw, its step-major copy and the y^2 scratch, whose copy is
+        # then squared in place. A fourth block would be a second ensemble
+        # kept alive into the next draw, or a fresh array for the squares.
+        cfg = BacktestConfig(window=250, horizons=(30,), paths=5000,
+                             grid=CalibrationGrid(ga_step=0.05), seed=Seed(3),
+                             threads=1)
+        y = generate(ModelSpec(model="M1", n=cfg.window + 30, seed=Seed(3)))
+        run_rolling_poos(y, cfg)  # builds the candidate tables and scan plans
+        tracemalloc.start()
+        try:
+            report = run_rolling_poos(y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.counts == {30: 1}
+        block = 30 * cfg.paths * 8
+        assert peak < 4 * block, f"peak {peak / block:.2f} (30, 5000) blocks"
 
 
 class TestDegenerateWindows:

@@ -1,6 +1,7 @@
 """Modules of the package use only each other's public names, every public
 name and every defaulted parameter has a caller outside the tests, none of
-them needs scipy, and importing the package loads no process-pool module."""
+them needs scipy or numpy.ma, and importing the package loads no process-pool
+module."""
 
 import ast
 import math
@@ -80,18 +81,29 @@ def last_line_printed(script: str) -> str:
 
 
 def test_fit_and_backtest_load_no_scipy():
+    # nor numpy.ma, which no program path needs and np.unique would import
     script = """
 import sys
-from novas import BacktestConfig, ReturnSeries, Seed, fit_garch11_mle, generate, run_rolling_poos
+from novas import (BacktestConfig, ForecastRequest, NovasVariant, ReturnSeries, Seed,
+                   calibrate, fit_garch11_mle, generate, innovation_source, predict,
+                   run_rolling_poos)
+from novas.innovations import SourceKind
 from novas.simulate import ModelSpec
 
 y = generate(ModelSpec(model="M1", n=252, seed=Seed(3)))
-fit_garch11_mle(ReturnSeries(y.values[:250]))
+window = ReturnSeries(y.values[:250])
+fit_garch11_mle(window)
+ct = calibrate(NovasVariant.GA, 0.5, window)
+for kind in SourceKind:
+    req = ForecastRequest(horizon=5, source=innovation_source(ct, kind), paths=100,
+                          risk="L1")
+    predict(ct, req)
 report = run_rolling_poos(
     y, BacktestConfig(window=250, horizons=(1,), paths=100, seed=Seed(3), threads=2)
 )
 assert report.counts == {1: 2}
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
 """
     assert last_line_printed(script) == "[]"
 

@@ -307,6 +307,14 @@ class TestEnsemblePoints:
         rng = np.random.default_rng(m)
         self.check(np.round(rng.standard_normal((3, m)) ** 2, 2))
 
+    def test_means_alone_leave_rows_unpartitioned(self):
+        rows = np.random.default_rng(4).standard_normal((3, 1001)) ** 2
+        before = rows.copy()
+        means, medians = ensemble_points(rows, medians=False)
+        assert medians is None
+        assert rows.tobytes() == before.tobytes()
+        assert same_bits(means, [np.mean(row) for row in before])
+
 
 def ensemble(ct, req):
     """The paths that ``predict`` simulates for ``req``."""
