@@ -17,7 +17,8 @@ sum over them gives the per-path means at every horizon of the window, and
 one ``ensemble_points`` call reduces those to the L2 and L1 points at every
 horizon. Each ensemble's squares go straight into that reduction and no name
 keeps them, so a window holds one ensemble at a time: the next draw starts
-only after the last one's squares are freed.
+only after the last one's squares are freed, and an ensemble peaks at two
+``(h, M)`` blocks, the draw's step-major copy and its ``y^2`` scratch.
 
 Windows are independent, so they run in a pool of forked worker processes
 (``BacktestConfig.threads`` of them, by default one per usable CPU). The

@@ -123,9 +123,9 @@ def _grid_from_args(args) -> CalibrationGrid:
             with open(source) as fh:
                 data = json.load(fh)
         grid = CalibrationGrid() if data is None else CalibrationGrid.from_dict(data)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, DataError) as exc:
         raise DataError(f"{source!r} holds no valid calibration grid: {exc}") from None
-    if args.ga_grid_step:
+    if args.ga_grid_step is not None:
         grid = CalibrationGrid(**{**grid.to_dict(), "ga_step": args.ga_grid_step})
     return grid
 

@@ -99,19 +99,23 @@ def _rejection_normal(
 
     Returns the draws plus the number of raw attempts (for acceptance-rate
     checks). Chunk sizes depend only on how many draws are still missing, so
-    the output is a pure function of the generator state.
+    the output is a pure function of the generator state. Each chunk's
+    accepted values are kept as their own array and joined once at the end,
+    so no output buffer is held beside a raw chunk and the draw holds at
+    most two ``count`` blocks.
     """
     if not math.isfinite(bound):
         return gen.standard_normal(count), count
-    out = np.empty(count)
+    parts = []
     filled = 0
     attempts = 0
     while filled < count:
         chunk = max(count - filled, 128)
         raw = gen.standard_normal(chunk)
         attempts += chunk
-        kept = raw[np.abs(raw) <= bound]
-        take = min(kept.size, count - filled)
-        out[filled : filled + take] = kept[:take]
-        filled += take
-    return out, attempts
+        kept = raw[np.abs(raw) <= bound][: count - filled]
+        parts.append(kept)
+        filled += kept.size
+    if len(parts) == 1:
+        return parts[0], attempts
+    return np.concatenate(parts) if parts else np.empty(0), attempts

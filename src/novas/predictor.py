@@ -182,6 +182,9 @@ def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarr
     Returns the ``(M, h)`` transpose of a step-major copy of the
     innovations whose rows the steps overwrite with their signed roots, so
     each step's values are contiguous; ``innovations`` is left unmodified.
+    The copy and the ``y^2`` scratch are the only ``(h, M)`` blocks it
+    allocates, and it drops its reference to ``innovations`` once copied,
+    so a temporary passed in is freed before the scratch is allocated.
     """
     innovations = np.atleast_2d(np.asarray(innovations, dtype=float))
     m, h = innovations.shape
@@ -193,10 +196,12 @@ def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarr
     hist2 = history[-p:] ** 2
 
     # np.array always copies, where np.ascontiguousarray would hand back a
-    # step-major caller's own array for the steps to overwrite. Row k of the
-    # y^2 scratch holds W^2 / (1 - eff W^2) until step k turns it into
-    # y_k^2, which step k + p still reads
+    # step-major caller's own array for the steps to overwrite. Dropping the
+    # name frees a temporary passed in (simulate_squares' draw) before the
+    # y^2 scratch is allocated. Row k of that scratch holds W^2 / (1 - eff
+    # W^2) until step k turns it into y_k^2, which step k + p still reads
     wt = np.array(innovations.T, order="C")
+    del innovations
     y2 = np.multiply(wt, wt, out=np.empty((h, m)))
     eff = w.y2_self_coef
     if eff:
@@ -249,7 +254,9 @@ def simulate_squares(
     Draws a ``(paths, h)`` innovation matrix from ``source`` with ``gen``,
     pushes it through :func:`simulate_paths` and squares its fresh
     step-major signed roots in place, so each step's squares are one
-    contiguous row and the ensemble holds no fourth ``(h, M)`` block.
+    contiguous row. The draw is passed as a temporary, which
+    :func:`simulate_paths` frees once copied, so the ensemble peaks at two
+    ``(h, M)`` blocks: the signed roots and the ``y^2`` scratch.
     """
     signed = simulate_paths(ct, source.draw(gen, (paths, h))).T
     return np.square(signed, out=signed)

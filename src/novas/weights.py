@@ -34,7 +34,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import InfeasibleWeightsError
+from .errors import DataError, InfeasibleWeightsError
 
 A0_MAX = 1.0 / 9.0
 SUM_TOL = 1e-12
@@ -225,7 +225,8 @@ class CalibrationGrid:
     """Search-grid configuration for kurtosis-targeted calibration.
 
     Every field is a plain scalar so the whole grid is expressible as a
-    key-value config file.
+    key-value config file. A value no calibration can use raises
+    :class:`~novas.errors.DataError`.
     """
 
     ge_c_min: float = 0.005
@@ -240,6 +241,21 @@ class CalibrationGrid:
     # transform's guard is the constant ``transform.TRIM_GUARD``
     eps_guard: float = 1e-12
     min_window: int = 50
+
+    def __post_init__(self):
+        # written as negated ranges, so a NaN is refused too
+        for name in ("ga_step", "tail_mass"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise DataError(f"{name} {getattr(self, name)!r} outside (0, 1)")
+        if not 0.0 < self.ge_c_min <= self.ge_c_max:
+            raise DataError(
+                f"GE c range [{self.ge_c_min!r}, {self.ge_c_max!r}] needs "
+                "0 < ge_c_min <= ge_c_max"
+            )
+        for name in ("ge_c_count", "order_cap", "order_cap_divisor", "order_max",
+                     "min_window"):
+            if not getattr(self, name) >= 1:
+                raise DataError(f"{name} {getattr(self, name)!r} must be at least 1")
 
     def ge_c_values(self) -> np.ndarray:
         return np.geomspace(self.ge_c_min, self.ge_c_max, self.ge_c_count)

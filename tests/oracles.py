@@ -1,11 +1,15 @@
 """Independent, definition-level reference implementations used by the test
 suite. Everything here is written as plain loops from the defining formulas,
-deliberately sharing no code with the library's vectorized paths.
+deliberately sharing no code with the library's vectorized paths, except
+:func:`oracle_rejection_normal`, whose chunk-by-chunk fill of one output
+buffer is the byte reference for the library's trimmed-normal draw.
 """
 
 import functools
 import math
 import statistics
+
+import numpy as np
 
 A0_LIMIT = 1.0 / 9.0
 
@@ -266,3 +270,24 @@ def oracle_garch_bootstrap_paths(sigma2_path, gen, M: int, h: int) -> list[list[
         [vols[i] * w for i, w in zip(pick_row, normal_row)]
         for pick_row, normal_row in zip(picks, normals)
     ]
+
+
+def oracle_rejection_normal(gen, bound: float, count: int):
+    """``count`` draws of N(0,1) conditioned on ``|w| <= bound``, and the
+    number of raw attempts: each chunk of ``max(missing, 128)`` raw normals
+    is filtered and copied into one preallocated output buffer.
+    """
+    if not math.isfinite(bound):
+        return gen.standard_normal(count), count
+    out = np.empty(count)
+    filled = 0
+    attempts = 0
+    while filled < count:
+        chunk = max(count - filled, 128)
+        raw = gen.standard_normal(chunk)
+        attempts += chunk
+        kept = raw[np.abs(raw) <= bound]
+        take = min(kept.size, count - filled)
+        out[filled : filled + take] = kept[:take]
+        filled += take
+    return out, attempts

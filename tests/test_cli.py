@@ -287,6 +287,29 @@ class TestErrors:
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize(
+        "args, message",
+        [(["--grid-config", "GRID"], "holds no valid calibration grid: ga_step 0 outside"),
+         (["--ga-grid-step", "0"], "ga_step 0.0 outside (0, 1)"),
+         (["--ga-grid-step", "-0.5"], "ga_step -0.5 outside (0, 1)")],
+        ids=["grid-config-zero", "flag-zero", "flag-negative"],
+    )
+    def test_unusable_ga_step_single_error_line(self, tmp_path, returns_csv, capsys,
+                                                args, message):
+        # a flag of 0 is a value, not an absent flag, and is refused as the
+        # file's 0 is
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"ga_step": 0}')
+        code = run_cli(["calibrate", "--input", returns_csv, "--variant", "GA",
+                        "--alpha", "0.5", *[grid if a == "GRID" else a for a in args],
+                        "--output", tmp_path / "x.json"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:input:")
+        assert message in err[0]
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
         "content", ["not json", '{"table": []}', '{"table": [{"horizon": 1}]}'],
         ids=["not-json", "empty-table", "missing-keys"],
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from novas import (
     substream,
 )
 from novas.innovations import _rejection_normal
+
+from oracles import oracle_rejection_normal
 
 
 def trimmed_normal(bound, count, seed):
@@ -83,6 +86,32 @@ class TestTrimmedNormal:
         draws = trimmed_normal(bound, 1000, Seed(5))
         want, _ = _rejection_normal(substream(Seed(5)), bound, 1000)
         assert draws.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bound", [3.0, 3.01, 4.5, math.inf])
+    @pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 1000, 150_000])
+    def test_matches_the_one_buffer_reference(self, count, bound):
+        # below 128 the one chunk holds surplus draws; at 1000 the second
+        # chunk does, and its accepted values join the first chunk's
+        got, attempts = _rejection_normal(substream(Seed(5)), bound, count)
+        want, want_attempts = oracle_rejection_normal(substream(Seed(5)), bound, count)
+        assert got.shape == (count,)
+        assert got.tobytes() == want.tobytes()
+        assert attempts == want_attempts
+
+    def test_draw_holds_two_blocks(self):
+        # no output buffer is held beside the first raw chunk: that chunk and
+        # its accepted values, and later those values and their joined copy,
+        # are the only full blocks alive together
+        count = 150_000
+        _rejection_normal(substream(Seed(5)), 3.0, count)
+        tracemalloc.start()
+        try:
+            _rejection_normal(substream(Seed(5)), 3.0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = count * 8
+        assert peak < 2.3 * block, f"peak {peak / block:.2f} blocks of {count} draws"
 
 
 class TestEmpirical:

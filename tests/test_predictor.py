@@ -1,6 +1,7 @@
 import math
 import platform
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from novas import (
 import novas.predictor
 from novas.garch import fit_garch11_mle
 from novas.innovations import substream
-from novas.predictor import _median, aggregated_squared, ensemble_points
+from novas.predictor import _median, aggregated_squared, ensemble_points, simulate_squares
 from novas.returns import variance_path, welford_update
 from novas.simulate import ModelSpec
 
@@ -495,6 +496,39 @@ class TestPredict:
         }
         assert payload["M"] == 150
         assert payload["seed"] == 1
+
+
+class TestWorkingSet:
+    # An ensemble peaks at two (h, M) blocks while it simulates: the
+    # step-major copy that the steps overwrite with their signed roots, and
+    # the y^2 scratch. The draw is freed once simulate_paths has copied it,
+    # and while it is drawn it holds two blocks only as it gathers.
+    BLOCK = 30 * 5000 * 8
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        call()  # builds whatever is cached, so only the ensemble is traced
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kind", list(SourceKind), ids=lambda k: k.value)
+    def test_simulate_squares_holds_two_blocks(self, fitted, kind):
+        ct = fitted["GE"]
+        source = innovation_source(ct, kind)
+        peak = self.traced_peak(
+            lambda: simulate_squares(ct, source, substream(Seed(1)), 5000, 30))
+        assert peak < 2.5 * self.BLOCK, f"peak {peak / self.BLOCK:.2f} (30, 5000) blocks"
+
+    def test_predict_holds_two_blocks(self, fitted):
+        ct = fitted["GE"]
+        req = ForecastRequest(horizon=30, paths=5000, seed=Seed(1),
+                              source=innovation_source(ct, SourceKind.TRIMMED_NORMAL))
+        peak = self.traced_peak(lambda: predict(ct, req))
+        assert peak < 2.5 * self.BLOCK, f"peak {peak / self.BLOCK:.2f} (30, 5000) blocks"
 
 
 @pytest.mark.skipif(

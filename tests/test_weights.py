@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novas import A0_MAX, InfeasibleWeightsError, NovasVariant, build_weights
+from novas import A0_MAX, DataError, InfeasibleWeightsError, NovasVariant, build_weights
 from novas.transform import _candidate_table
 from novas.weights import lag_profile
 from novas.weights import CalibrationGrid
@@ -204,6 +204,17 @@ class TestCalibrationGrid:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             CalibrationGrid.from_dict({"nope": 1})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ga_step", 0.0), ("ga_step", -0.5), ("ga_step", 1.0), ("ga_step", math.nan),
+         ("ge_c_min", 0.0), ("ge_c_min", -1.0), ("ge_c_max", 0.001),
+         ("ge_c_count", 0), ("order_cap", 0), ("order_cap_divisor", 0),
+         ("order_max", 0), ("min_window", 0), ("tail_mass", 0.0), ("tail_mass", 1.0)],
+    )
+    def test_unusable_value_rejected(self, field, value):
+        with pytest.raises(DataError, match=field):
+            CalibrationGrid(**{field: value})
 
 
 @pytest.mark.parametrize("variant", list(NovasVariant), ids=lambda v: v.value)
