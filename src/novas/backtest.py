@@ -5,20 +5,34 @@ each transform variant over the alpha grid, produces aggregated h-step
 forecasts for every (variant, alpha, risk, innovation-kind) combination plus
 the GARCH bootstrap and direct baselines, and scores each method against the
 realized aggregates. All methods see identical windows and identical truth
-sequences; every random stream is derived from (seed, window, method), so
-reports do not depend on the parallel schedule.
+sequences; every random stream is derived from (seed, window, method), or
+from (seed, window) for the one shared by a window's methods, so reports do
+not depend on the parallel schedule.
 
 A window has no forecasting code of its own. Its ensembles come from two
-producers, under its own substreams, each drawn once per method at the
+producers, under its own substreams, each simulated once per method at the
 window's largest horizon: every NoVaS ensemble from ``simulate_squares``,
 the one that ``predict`` calls, and the GARCH bootstrap's from
 ``garch_bootstrap_squares``. Both hand back step-major squares. One running
 sum over them gives the per-path means at every horizon of the window, and
 one ``ensemble_points`` call reduces those to the L2 and L1 points at every
-horizon. Each ensemble's squares go straight into that reduction and no name
-keeps them, so a window holds one ensemble at a time: the next draw starts
-only after the last one's squares are freed, and an ensemble peaks at two
-``(h, M)`` blocks, the draw's step-major copy and its ``y^2`` scratch.
+horizon.
+
+The ``mc`` ensembles of a window share its Monte-Carlo noise (common random
+numbers): the window draws one step-major ``(h, M)`` block of standard
+normals from its own substream domain, keyed by the window alone, and every
+``mc`` ensemble takes its innovations from that block, a bounded transform
+(GE, GA) with the entries beyond its bound replaced by trimmed-normal draws
+from its method's own substream. So each ensemble keeps its own law, while
+the differences between methods, which the comparison reads, carry less
+noise. The ``boot`` ensembles and the GARCH bootstrap draw their own.
+
+Each ensemble's squares go straight into the reduction and no name keeps
+them, so a window holds one ensemble at a time. The ``mc`` ensembles run
+before any ``boot`` one, and the shared block is freed before the ``boot``
+draws: a window peaks below three ``(h, M)`` blocks, the shared block, an
+ensemble's step-major copy of its innovations, and that ensemble's ``y^2``
+ring of at most ``(h + 1) / 2`` rows.
 
 Windows are independent, so they run in a pool of forked worker processes
 (``BacktestConfig.threads`` of them, by default one per usable CPU). The
@@ -27,7 +41,9 @@ in :func:`run_rolling_poos` only when it starts a pool, so ``import novas``
 does not pay for them. Fork hands each worker the imported numpy, the window
 inputs and the calibration scans prepared by ``feasible_alphas`` without a
 fresh import; because each window draws only from its own substreams, the
-predictions are byte-identical at every worker count. Fork copies only the
+predictions are byte-identical at every worker count. Each worker pins
+numpy's OpenBLAS to one thread as it starts, so a pooled run needs no
+``OPENBLAS_NUM_THREADS`` in the environment. Fork copies only the
 calling thread, so a caller that runs threads of its own which may hold
 locks (a logging handler, a server loop) should pass ``threads=1``.
 """
@@ -43,10 +59,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CalibrationError, DataError, FitError
 from .garch import fit_garch11_mle, garch_bootstrap_squares, garch_direct_forecast
-from .innovations import Seed, SourceKind, substream
+from .innovations import Seed, SharedNormals, SourceKind, substream
 from .predictor import (
     Risk,
     aggregated_squared,
+    as_count,
     check_paths,
     ensemble_points,
     innovation_source,
@@ -64,6 +81,7 @@ KINDS = tuple(KIND_TO_SOURCE)
 # substream domains: one per independent consumer of randomness
 _DOMAIN_NOVAS = 1
 _DOMAIN_GARCH_BOOT = 2
+_DOMAIN_NORMALS = 3
 
 
 @dataclass(frozen=True)
@@ -109,6 +127,11 @@ class BacktestConfig:
     threads: int | None = None
 
     def __post_init__(self):
+        for name in ("window", "paths"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
+        object.__setattr__(self, "horizons", tuple(
+            sorted({as_count("horizons", h) for h in self.horizons})
+        ))
         if self.window < 1:
             raise DataError("window must be positive")
         if not self.horizons or any(h < 1 for h in self.horizons):
@@ -128,9 +151,10 @@ class BacktestConfig:
             affinity = getattr(os, "sched_getaffinity", None)
             usable = len(affinity(0)) if affinity else os.cpu_count() or 1
             object.__setattr__(self, "threads", usable)
-        elif self.threads < 1:
-            raise DataError(f"threads must be at least 1, got {self.threads}")
-        object.__setattr__(self, "horizons", tuple(sorted(set(self.horizons))))
+        else:
+            object.__setattr__(self, "threads", as_count("threads", self.threads))
+            if self.threads < 1:
+                raise DataError(f"threads must be at least 1, got {self.threads}")
         object.__setattr__(self, "seed", Seed.of(self.seed))
         object.__setattr__(
             self, "variants", tuple(NovasVariant(v) for v in self.variants)
@@ -228,6 +252,7 @@ def _run_window(
     preds: dict[MethodKey, dict[int, float]] = {}
     dead_families: list[str] = []
 
+    fitted = []  # (variant, alpha index, alpha, transform)
     for variant in cfg.variants:
         if not usable[variant]:
             continue
@@ -240,17 +265,26 @@ def _run_window(
             # and let the common-window mask keep scores comparable
             dead_families.append(variant.value)
             continue
-        vi = _VARIANT_INDEX[variant]
-        for ai, alpha in enumerate(cfg.alpha_grid):
-            if alpha not in transforms:
-                continue
-            ct = transforms[alpha]
-            for kind in cfg.kinds:
-                source = innovation_source(ct, KIND_TO_SOURCE[kind])
-                gen = substream(cfg.seed, _DOMAIN_NOVAS, w0, vi, ai, _KIND_INDEX[kind])
-                _store_points(preds, MethodKey(variant.value, alpha, None, kind),
-                              simulate_squares(ct, source, gen, cfg.paths, h_top),
-                              h_here, cfg.risks)
+        fitted += [
+            (variant, ai, alpha, transforms[alpha])
+            for ai, alpha in enumerate(cfg.alpha_grid) if alpha in transforms
+        ]
+
+    # every mc ensemble runs first, from the window's one block of shared
+    # normals, which is freed before the boot draws and the GARCH bootstrap
+    for kind in sorted(cfg.kinds, key=_KIND_INDEX.get):
+        normals = (
+            SharedNormals(substream(cfg.seed, _DOMAIN_NORMALS, w0), cfg.paths, h_top)
+            if kind == "mc" and fitted else None
+        )
+        for variant, ai, alpha, ct in fitted:
+            source = innovation_source(ct, KIND_TO_SOURCE[kind])
+            gen = substream(cfg.seed, _DOMAIN_NOVAS, w0, _VARIANT_INDEX[variant], ai,
+                            _KIND_INDEX[kind])
+            _store_points(preds, MethodKey(variant.value, alpha, None, kind),
+                          simulate_squares(ct, source, gen, cfg.paths, h_top, normals),
+                          h_here, cfg.risks)
+        del normals
 
     try:
         fit = fit_garch11_mle(window_returns)
@@ -268,6 +302,28 @@ def _run_window(
                           garch_bootstrap_squares(fit, gen, cfg.paths, h_top),
                           h_here, cfg.risks)
     return preds, dead_families
+
+
+def _one_blas_thread() -> None:
+    """Pin every loaded OpenBLAS that exports numpy's thread setter to one
+    thread: the initializer of each forked worker, so that the workers do
+    not each run a BLAS thread pool and compete for the cores. The results
+    do not depend on it. It does nothing where no such library is found."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:  # Linux only
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps
+                     if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_")
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
 
 
 def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
@@ -308,7 +364,8 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
         # chunksize 1: the early windows carry every horizon and take longest,
         # so handing them out one at a time keeps the workers evenly loaded
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_one_blas_thread,
         ) as pool:
             results = list(pool.map(run_window, range(n_windows)))
     else:

@@ -6,12 +6,19 @@ resampling from a pool of calibrated residuals. Every stream is a PCG64
 generator derived through ``numpy``'s SeedSequence, so sub-streams keyed by
 (window, method, path) indices are reproducible regardless of the parallel
 schedule and never collide.
+
+Several truncated-normal ensembles can also share one block of standard
+normals (:class:`SharedNormals`, common random numbers): each takes the block
+with only its entries beyond its own bound replaced by draws of its own.
+An entry within a bound is a draw of that bound's truncated normal, so every
+entry each ensemble sees is an independent draw of its own source.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +54,10 @@ def substream(seed, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+# the lowest finite truncation bound a trimmed-normal source accepts
+MIN_BOUND = 3.0
+
+
 class SourceKind(str, enum.Enum):
     TRIMMED_NORMAL = "TRIMMED_NORMAL"
     EMPIRICAL = "EMPIRICAL"
@@ -76,7 +87,7 @@ class InnovationSource:
         else:
             if not self.bound > 0.0:
                 raise DataError(f"truncation bound {self.bound} must be positive")
-            if math.isfinite(self.bound) and self.bound < 3.0:
+            if math.isfinite(self.bound) and self.bound < MIN_BOUND:
                 raise DataError(
                     f"truncation bound {self.bound:.4f} < 3 leaves too little "
                     "normal mass (inadmissible weights upstream)"
@@ -90,6 +101,38 @@ class InnovationSource:
         else:
             flat, _ = _rejection_normal(gen, self.bound, count)
         return flat.reshape(shape)
+
+
+class SharedNormals:
+    """One step-major ``(h, M)`` block of standard normals, drawn from
+    ``gen``, that the trimmed-normal ensembles of a backtest window take
+    their innovations from in turn.
+
+    ``tails`` holds the flat indices of the entries beyond :data:`MIN_BOUND`,
+    found by one scan, so an ensemble finds its entries beyond its own bound
+    among them alone.
+    """
+
+    def __init__(self, gen: np.random.Generator, paths: int, h: int):
+        self.block = gen.standard_normal((h, paths))
+        self.tails = np.flatnonzero(np.abs(self.block) > MIN_BOUND)
+
+    def beyond(self, bound: float) -> np.ndarray:
+        """The flat step-major indices, ascending, of the entries beyond an
+        admissible truncation ``bound``; none at an infinite bound."""
+        return self.tails[np.abs(self.block.reshape(-1)[self.tails]) > bound]
+
+    @contextmanager
+    def replaced(self, at: np.ndarray, values: np.ndarray):
+        """The block with its flat entries ``at`` set to ``values``, which
+        are put back on exit."""
+        flat = self.block.reshape(-1)
+        kept = flat[at]
+        flat[at] = values
+        try:
+            yield self.block
+        finally:
+            flat[at] = kept
 
 
 def _rejection_normal(

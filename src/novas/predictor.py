@@ -4,7 +4,11 @@ The library's one ensemble path, :func:`simulate_squares`, taken by
 :func:`predict` and every NoVaS ensemble of a backtest window: ``M``
 innovation vectors of length ``h`` are drawn and go through the inverse
 transform (:func:`simulate_paths`), each pseudo-return feeding back into the
-lag window and the recursive variance. Every lag profile is
+lag window and the recursive variance. The Monte-Carlo ensembles of a
+backtest window draw no block of their own: they share the window's block of
+standard normals (:class:`~novas.innovations.SharedNormals`), each with its
+entries beyond its own bound replaced by draws from its own substream, so
+each keeps its own truncated normal. Every lag profile is
 geometric, so a path's lag window is one running sum, O(1) state per path
 whatever the lag order. Each step writes its signed roots into one row of a
 step-major ``(h, M)`` array, and the ensemble comes back as the step-major
@@ -20,12 +24,13 @@ by one selection pass (:func:`_median`), bit-identical to ``np.median``.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, TrimBoundError
-from .innovations import InnovationSource, Seed, SourceKind, substream
+from .innovations import InnovationSource, Seed, SharedNormals, SourceKind, substream
 from .returns import welford_update
 from .transform import TRIM_GUARD, CalibratedTransform
 
@@ -39,6 +44,16 @@ MIN_PATHS = 100
 # cap) is never touched, so it costs no resident memory. Elsewhere it is a
 # no-op, and a set MALLOC_MMAP_THRESHOLD_ turns the dynamic threshold off.
 np.empty(1 << 21)
+
+
+def as_count(name: str, value) -> int:
+    """``value`` as a Python int, taken through ``operator.index``, so that
+    a float or a string is refused when a config is built instead of deep in
+    a run; a numpy integer is accepted."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_paths(paths: int) -> None:
@@ -133,6 +148,8 @@ class ForecastRequest:
     seed: Seed = field(default_factory=Seed)
 
     def __post_init__(self):
+        for name in ("horizon", "paths"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         if self.horizon < 1:
             raise DataError(f"horizon {self.horizon} must be >= 1")
         check_paths(self.paths)
@@ -174,17 +191,18 @@ def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarr
     its lag window as one running sum ``L = sum_i l_i y_{k-i}^2``, updated
     as ``L' = l_1 y_k^2 + r (L - l_p y_{k-p}^2)``: O(1) state per path
     whatever the order ``p``. The dropped ``y_{k-p}^2`` is a history value
-    for the first ``p`` steps and a row of the ``y^2`` buffer after that.
-    The trim guard and ``W^2 / (1 - eff W^2)`` are computed once for the
-    whole matrix before the recursion; :class:`~novas.errors.TrimBoundError`
-    names the first step that holds an untrimmed innovation.
+    for the first ``p`` steps and a row of the ``y^2`` ring after that.
+    Each step computes its own ``W^2 / (1 - eff W^2)`` and scales it into
+    ``y_k^2``; :class:`~novas.errors.TrimBoundError` names the first step
+    that holds an untrimmed innovation.
 
     Returns the ``(M, h)`` transpose of a step-major copy of the
     innovations whose rows the steps overwrite with their signed roots, so
     each step's values are contiguous; ``innovations`` is left unmodified.
-    The copy and the ``y^2`` scratch are the only ``(h, M)`` blocks it
-    allocates, and it drops its reference to ``innovations`` once copied,
-    so a temporary passed in is freed before the scratch is allocated.
+    The copy is the only ``(h, M)`` block it allocates: ``y^2`` is kept in
+    a ring of the ``min(p, h - 1 - p)`` rows that a later step still reads,
+    plus one row for the step at hand. It drops its reference to
+    ``innovations`` once copied, so a temporary passed in is freed at once.
     """
     innovations = np.atleast_2d(np.asarray(innovations, dtype=float))
     m, h = innovations.shape
@@ -197,25 +215,15 @@ def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarr
 
     # np.array always copies, where np.ascontiguousarray would hand back a
     # step-major caller's own array for the steps to overwrite. Dropping the
-    # name frees a temporary passed in (simulate_squares' draw) before the
-    # y^2 scratch is allocated. Row k of that scratch holds W^2 / (1 - eff
-    # W^2) until step k turns it into y_k^2, which step k + p still reads
+    # name frees a temporary passed in (simulate_squares' draw)
     wt = np.array(innovations.T, order="C")
     del innovations
-    y2 = np.multiply(wt, wt, out=np.empty((h, m)))
+    # step k + p reads y_k^2 for k + p < h - 1, so only rows k < h - 1 - p
+    # are kept, row k in slot k % keep: step k reads slot (k - p) % keep
+    # before it writes the same slot. The last slot holds the other rows
+    keep = max(0, min(p, h - 1 - p))
+    ring = np.empty((keep + 1, m))
     eff = w.y2_self_coef
-    if eff:
-        y2 *= -eff
-        y2 += 1.0
-        if y2.min() <= TRIM_GUARD:
-            k = int(np.argmax((y2 <= TRIM_GUARD).any(axis=1)))
-            worst = float(wt[k, np.argmin(y2[k])])
-            raise TrimBoundError(
-                f"inverse denominator <= {TRIM_GUARD} at step {k + 1}; innovation "
-                f"{worst!r} was not trimmed to the bound {w.trim_bound!r}"
-            )
-        np.divide(wt, y2, out=y2)
-        y2 *= wt
 
     lag_sum = np.full(m, float(hist2[::-1] @ w.lags))
     count = n
@@ -225,18 +233,33 @@ def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarr
     core = np.empty(m)
     tmp = np.empty(m)
     for k in range(h):
-        yk2, yk = y2[k], wt[k]
+        yk = wt[k]
         np.multiply(s2, w.alpha, out=core)
         core += lag_sum
+        last = k + 1 == h
+        # nothing reads the lag window or the variance after the last step
+        if not last:
+            if k < p:
+                lag_sum -= tail * hist2[k]
+            else:
+                lag_sum -= np.multiply(ring[(k - p) % keep], tail, out=tmp)
+        yk2 = ring[k % keep] if k < h - 1 - p else ring[keep]
+        np.multiply(yk, yk, out=yk2)
+        if eff:
+            yk2 *= -eff
+            yk2 += 1.0
+            if yk2.min() <= TRIM_GUARD:
+                worst = float(yk[np.argmin(yk2)])
+                raise TrimBoundError(
+                    f"inverse denominator <= {TRIM_GUARD} at step {k + 1}; innovation "
+                    f"{worst!r} was not trimmed to the bound {w.trim_bound!r}"
+                )
+            np.divide(yk, yk2, out=yk2)
+            yk2 *= yk
         yk2 *= core
         np.copysign(np.sqrt(yk2, out=tmp), yk, out=yk)
-        if k + 1 == h:
-            # nothing reads the lag window or the variance after the last step
+        if last:
             break
-        if k < p:
-            lag_sum -= tail * hist2[k]
-        else:
-            lag_sum -= np.multiply(y2[k - p], tail, out=tmp)
         lag_sum *= r
         lag_sum += np.multiply(yk2, head, out=tmp)
         count += 1
@@ -247,7 +270,7 @@ def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarr
 
 def simulate_squares(
     ct: CalibratedTransform, source: InnovationSource, gen: np.random.Generator,
-    paths: int, h: int,
+    paths: int, h: int, normals: SharedNormals | None = None,
 ) -> np.ndarray:
     """The step-major ``(h, M)`` squares of an ensemble of ``paths`` futures.
 
@@ -256,9 +279,23 @@ def simulate_squares(
     step-major signed roots in place, so each step's squares are one
     contiguous row. The draw is passed as a temporary, which
     :func:`simulate_paths` frees once copied, so the ensemble peaks at two
-    ``(h, M)`` blocks: the signed roots and the ``y^2`` scratch.
+    ``(h, M)`` blocks, the draw and its copy, and then simulates in the
+    copy and a ``y^2`` ring of at most ``(h + 1) / 2`` rows.
+
+    With ``normals``, a shared ``(h, paths)`` block, a trimmed-normal
+    ``source`` takes its innovations from that block instead: only the
+    entries beyond its bound are drawn from ``source`` with ``gen``, and
+    they replace the block's in step-major order until the block is copied.
+    The ensemble then adds its copy and ring to the caller's block.
     """
-    signed = simulate_paths(ct, source.draw(gen, (paths, h))).T
+    if normals is None:
+        signed = simulate_paths(ct, source.draw(gen, (paths, h))).T
+    else:
+        if source.kind is not SourceKind.TRIMMED_NORMAL:
+            raise DataError("only a trimmed-normal source draws from shared normals")
+        beyond = normals.beyond(source.bound)
+        with normals.replaced(beyond, source.draw(gen, beyond.shape)) as block:
+            signed = simulate_paths(ct, block.T).T
     return np.square(signed, out=signed)
 
 

@@ -2,7 +2,9 @@
 suite. Everything here is written as plain loops from the defining formulas,
 deliberately sharing no code with the library's vectorized paths, except
 :func:`oracle_rejection_normal`, whose chunk-by-chunk fill of one output
-buffer is the byte reference for the library's trimmed-normal draw.
+buffer is the byte reference for the library's trimmed-normal draw, and
+:func:`oracle_block_simulate_paths`, whose whole-matrix ``y^2`` scratch is the
+byte reference for the library's ensemble simulation.
 """
 
 import functools
@@ -291,3 +293,42 @@ def oracle_rejection_normal(gen, bound: float, count: int):
         out[filled : filled + take] = kept[:take]
         filled += take
     return out, attempts
+
+
+def oracle_block_simulate_paths(ct, innovations):
+    """The signed pseudo-returns of an ``(M, h)`` innovation matrix, with
+    ``W^2 / (1 - eff W^2)`` computed for the whole matrix into one ``(h, M)``
+    ``y^2`` scratch before the recursion, each step's lag window kept as one
+    running sum and its variance advanced by Welford's update. The
+    elementwise operations are the library's, in its order.
+    """
+    w = ct.weights
+    p = w.order
+    history = ct.history.values
+    n = history.size
+    hist2 = history[-p:] ** 2
+    wt = np.array(np.atleast_2d(innovations).T, dtype=float, order="C")
+    h, m = wt.shape
+    y2 = wt * wt
+    if w.y2_self_coef:
+        y2 *= -w.y2_self_coef
+        y2 += 1.0
+        np.divide(wt, y2, out=y2)
+        y2 *= wt
+    lag_sum = np.full(m, float(hist2[::-1] @ w.lags))
+    count = n
+    mean = np.full(m, history.mean())
+    m2 = np.full(m, ct.s2_n * n)
+    s2 = np.full(m, ct.s2_n)
+    for k in range(h):
+        y2[k] *= s2 * w.alpha + lag_sum
+        wt[k] = np.copysign(np.sqrt(y2[k]), wt[k])
+        dropped = hist2[k] if k < p else y2[k - p]
+        lag_sum = (lag_sum - w.lags[-1] * dropped) * w.ratio + y2[k] * w.lags[0]
+        count += 1
+        delta = wt[k] - mean
+        mean += delta / count
+        delta *= wt[k] - mean
+        m2 += delta
+        s2 = m2 / count
+    return wt.T

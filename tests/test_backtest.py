@@ -1,5 +1,9 @@
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,20 @@ class TestPreconditions:
     def test_unknown_risk(self):
         with pytest.raises(DataError, match="risks must be among"):
             small_config(risks=("L3",))
+
+    # each used to pass and fail inside the run with a bare TypeError
+    @pytest.mark.parametrize("field, value", [
+        ("window", 60.0), ("horizons", (1, 3.0)), ("paths", 1000.0),
+        ("threads", 2.0), ("threads", "2"),
+    ])
+    def test_non_integer_count_refused(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be an integer"):
+            small_config(**{field: value})
+        cfg = small_config(window=np.int64(60), horizons=(np.int32(3), 1),
+                           paths=np.int64(150), threads=np.int64(1))
+        assert (cfg.window, cfg.horizons, cfg.paths, cfg.threads) == (60, (1, 3), 150, 1)
+        assert all(type(v) is int for v in (cfg.window, *cfg.horizons, cfg.paths,
+                                             cfg.threads))
 
     REPEATED = {
         "alpha_grid": (0.5, 0.5),
@@ -258,6 +276,20 @@ class TestDeterminism:
                 assert single.predictions[m][h].tobytes() == arr.tobytes(), (
                     m.label(), h)
 
+    def test_mc_ensembles_independent_of_the_other_methods(self, short_series,
+                                                           small_report):
+        # the window's shared normals are keyed by the window alone and drawn
+        # at its largest horizon, whichever methods it runs
+        single = run_rolling_poos(
+            short_series, small_config(variants=(NovasVariant.GE,), kinds=("mc",))
+        )
+        keys = [m for m in single.predictions if m.family == "GE"]
+        assert {m.kind for m in keys} == {"mc"} and len(keys) == 4
+        for m in keys:
+            for h, arr in small_report.predictions[m].items():
+                assert single.predictions[m][h].tobytes() == arr.tobytes(), (
+                    m.label(), h)
+
     def test_seed_changes_predictions(self, short_series, small_report):
         other = run_rolling_poos(short_series, small_config(seed=Seed(8)))
         some_key = next(
@@ -268,20 +300,105 @@ class TestDeterminism:
         )
 
 
+# Runs a two-worker backtest with and without the workers' BLAS pin, and
+# prints the BLAS thread counts its workers saw and whether the predictions
+# of the two runs are byte-identical, or "absent" where no loaded OpenBLAS
+# exports numpy's thread getter.
+BLAS_PIN_SCRIPT = """
+import ctypes, json
+import novas.backtest
+from novas import BacktestConfig, CalibrationGrid, Seed, generate
+from novas.simulate import ModelSpec
+
+def blas_threads():
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    for path in paths:
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            return getter()
+    return None
+
+default = blas_threads()
+seen = {"pinned": set(), "unpinned": set()}
+run = "pinned"
+fit = novas.backtest.fit_garch11_mle
+
+def reporting_fit(window):
+    # runs in the worker; the window's result carries no extra field, so the
+    # count goes out through a file
+    with open(OUT, "a") as out:
+        out.write(f"{run} {blas_threads()}\\n")
+    return fit(window)
+
+if default is None:
+    print("absent")
+else:
+    novas.backtest.fit_garch11_mle = reporting_fit
+    y = generate(ModelSpec(model="M1", n=254, seed=Seed(3)))
+    cfg = BacktestConfig(window=250, horizons=(1,), paths=100, seed=Seed(3),
+                         grid=CalibrationGrid(ga_step=0.05), threads=2)
+    reports = {}
+    for run in ("pinned", "unpinned"):
+        if run == "unpinned":
+            novas.backtest._one_blas_thread = lambda: None
+        report = novas.backtest.run_rolling_poos(y, cfg)
+        reports[run] = b"".join(
+            report.predictions[key][1].tobytes()
+            for key in sorted(report.predictions, key=lambda k: k.label()))
+    with open(OUT) as lines:
+        for line in lines:
+            name, count = line.split()
+            seen[name].add(int(count))
+    print(json.dumps({"default": default, **{k: sorted(v) for k, v in seen.items()},
+                      "same": reports["pinned"] == reports["unpinned"]}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="finds the loaded OpenBLAS through /proc/self/maps")
+def test_pooled_workers_run_one_blas_thread(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = f"OUT = {str(tmp_path / 'threads.txt')!r}\n" + BLAS_PIN_SCRIPT
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    last = out.stdout.splitlines()[-1]
+    if last == "absent":
+        pytest.skip("no loaded OpenBLAS exports scipy_openblas_get_num_threads64_")
+    result = json.loads(last)
+    assert result["pinned"] == [1], result
+    # without the pin a worker keeps the BLAS default it inherited
+    assert result["unpinned"] == [result["default"]], result
+    assert result["same"], result
+
+
 class TestLibraryPath:
-    """The backtest and ``predict`` forecast through the same draw,
-    simulation, aggregate and reduce, and the GARCH bootstrap reduces its
-    paths the same way."""
+    """The backtest and ``predict`` forecast through the same simulation,
+    aggregate and reduce, and the GARCH bootstrap reduces its paths the same
+    way. A window's ``mc`` ensembles take their innovations from one shared
+    block of standard normals, each with its entries beyond its own bound
+    replaced by draws from its own substream; ``predict`` and the ``boot``
+    ensembles draw their own."""
 
     def test_backtest_entries_rebuilt_from_library_pieces(self, short_series):
         y = ReturnSeries(short_series.values[:70])
-        cfg = small_config(horizons=(1, 5))
+        # GE's bound at alpha 0.05 is about 3.45, so the first window's
+        # shared block has entries beyond it
+        cfg = small_config(horizons=(1, 5), alpha_grid=(0.05, 0.6), paths=600)
         report = run_rolling_poos(y, cfg)
         assert report.counts == {1: 10, 5: 6}
+        replaced = 0
         for w0 in (0, report.counts[1] - 1):
             window = ReturnSeries(y.values[w0 : w0 + cfg.window])
             h_here = [h for h in cfg.horizons if w0 < report.counts[h]]
             h_top = max(h_here)
+            normals = substream(
+                cfg.seed, novas.backtest._DOMAIN_NORMALS, w0
+            ).standard_normal((h_top, cfg.paths))
             expected = {}
             for variant in cfg.variants:
                 vi = list(NovasVariant).index(variant)
@@ -292,7 +409,15 @@ class TestLibraryPath:
                             cfg.seed, novas.backtest._DOMAIN_NOVAS, w0, vi, ai, ki
                         )
                         source = innovation_source(ct, KIND_TO_SOURCE[kind])
-                        draws = source.draw(gen, (cfg.paths, h_top))
+                        if kind == "mc":
+                            # step-major order, as the shared block is laid out
+                            patched = normals.copy()
+                            beyond = np.abs(patched) > source.bound
+                            replaced += int(beyond.sum())
+                            patched[beyond] = source.draw(gen, (int(beyond.sum()),))
+                            draws = patched.T
+                        else:
+                            draws = source.draw(gen, (cfg.paths, h_top))
                         aggs = running_means(simulate_paths(ct, draws), h_here)
                         for risk in cfg.risks:
                             key = MethodKey(variant.value, alpha, risk, kind)
@@ -308,6 +433,7 @@ class TestLibraryPath:
                 for h, agg in zip(h_here, aggs):
                     got = report.predictions[key][h][w0]
                     assert got == numpy_point(agg, risk), (w0, key.label(), h)
+        assert replaced > 0
 
     @pytest.mark.parametrize("risk", list(Risk))
     def test_predict_and_garch_bootstrap_reduce_the_same_way(self, short_series, risk):
@@ -336,11 +462,13 @@ class TestLibraryPath:
 
 class TestWorkingSet:
     def test_window_holds_one_ensemble_at_a_time(self):
-        # A NoVaS ensemble peaks at two (h, M) blocks while it simulates:
-        # the draw's step-major copy and the y^2 scratch, the draw itself
-        # being freed once copied, and the copy is then squared in place. A
-        # third block would be the draw kept alive, a second ensemble kept
-        # alive into the next draw, or a fresh array for the squares.
+        # The mc ensembles share the window's block of normals, and each
+        # simulates in its step-major copy of that block and a y^2 ring of
+        # at most (h + 1) / 2 rows, the copy then being squared in place;
+        # the block is freed before the boot draws, each of which is freed
+        # once copied. A third block would be a second ensemble kept alive
+        # into the next one, a full y^2 scratch, the shared block kept into
+        # the boot ensembles, or a fresh array for the squares.
         cfg = BacktestConfig(window=250, horizons=(30,), paths=5000,
                              grid=CalibrationGrid(ga_step=0.05), seed=Seed(3),
                              threads=1)

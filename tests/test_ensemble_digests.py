@@ -156,7 +156,7 @@ def test_predict_digest(transforms, variant, kind):
     assert digest(*results) == PREDICT[variant.value, kind.value]
 
 
-BACKTEST = "f72a5ecb84d65bae"
+BACKTEST = "b1003b4f0634f849"
 
 
 def test_backtest_predictions_digest():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.stats import truncnorm
 
 from novas import (
     CalibratedTransform,
@@ -33,13 +34,14 @@ from novas import (
 )
 import novas.predictor
 from novas.garch import fit_garch11_mle
-from novas.innovations import substream
+from novas.innovations import SharedNormals, substream
 from novas.predictor import _median, aggregated_squared, ensemble_points, simulate_squares
 from novas.returns import variance_path, welford_update
 from novas.simulate import ModelSpec
 
 from test_imports import last_line_printed
 from oracles import (
+    oracle_block_simulate_paths,
     oracle_garch_bootstrap_paths,
     oracle_running_means,
     oracle_simulate_path,
@@ -216,6 +218,20 @@ class TestSimulateOracle:
                 y.values, draws[m], w.alpha, w.y2_self_coef, w.lags
             )
             np.testing.assert_allclose(paths[m], expected, rtol=1e-12, atol=0)
+
+    # the y^2 ring keeps min(p, h - 1 - p) rows: none at h <= p + 1, fewer
+    # than p below h = 2p + 1, p from there on
+    @pytest.mark.parametrize("h", [1, 2, 5, 12, 30, 31, 61])
+    @pytest.mark.parametrize("order", [1, 2, 5, 14, 15, 16, 29, 30])
+    @pytest.mark.parametrize("variant", list(NovasVariant), ids=lambda v: v.value)
+    def test_ring_matches_the_block_reference(self, variant, order, h):
+        y = generate(ModelSpec(model="M3", n=300, seed=Seed(17)))
+        w = weights_of_order(variant, order)
+        ct = CalibratedTransform(w, forward_transform(y, w), y, 0.0)
+        bound = 0.8 * w.trim_bound
+        draws = np.clip(np.random.default_rng(h).normal(size=(40, h)), -bound, bound)
+        got = simulate_paths(ct, draws)
+        assert got.tobytes() == oracle_block_simulate_paths(ct, draws).tobytes()
 
     def test_untrimmed_innovation_names_its_step(self, fitted):
         ct = fitted["GA"]
@@ -453,6 +469,17 @@ class TestPredict:
                 paths=50,
             )
 
+    # a float count used to pass and fail later inside numpy
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 5.0), ("horizon", "5"), ("paths", 1000.0), ("paths", None),
+    ])
+    def test_non_integer_count_refused(self, fitted, field, value):
+        source = innovation_source(fitted["GE"], SourceKind.TRIMMED_NORMAL)
+        with pytest.raises(DataError, match=f"{field} must be an integer"):
+            ForecastRequest(**{"horizon": 5, "source": source, field: value})
+        req = ForecastRequest(horizon=np.int64(5), source=source, paths=np.int32(500))
+        assert type(req.horizon) is int and type(req.paths) is int
+
     def test_no_a0_paths_bounded_by_stability_envelope(self, fitted):
         # with a0 = 0 and bootstrapped innovations every pseudo value obeys
         # |Y*| <= max|W| * sqrt(alpha * max s2 + sum(lags) * max Y^2) where
@@ -498,11 +525,77 @@ class TestPredict:
         assert payload["seed"] == 1
 
 
+class TestSharedNormals:
+    """With a window's shared normals, ``simulate_squares`` hands
+    ``simulate_paths`` the block with only the entries beyond the source's
+    bound replaced by that source's own draws, and puts them back after."""
+
+    @staticmethod
+    def block_simulated(monkeypatch, normals, source, gen, fail=False):
+        """The step-major innovations ``simulate_squares`` passes on."""
+        seen = []
+
+        def recording(ct, innovations):
+            seen.append(np.array(innovations.T))
+            if fail:
+                raise TrimBoundError("denominator below the guard")
+            return np.zeros(innovations.shape)
+
+        monkeypatch.setattr(novas.predictor, "simulate_paths", recording)
+        h, paths = normals.block.shape
+        simulate_squares(None, source, gen, paths, h, normals)
+        return seen[0]
+
+    def test_bounded_source_sees_its_truncated_normal(self, monkeypatch):
+        # criterion 04's checks on 10**6 patched entries at bound 3: the
+        # support, and TN(3)'s mean 0 and variance 0.9733 (se ~ 0.001 each)
+        normals = SharedNormals(substream(Seed(0)), 10_000, 100)
+        raw = normals.block.copy()
+        source = InnovationSource(SourceKind.TRIMMED_NORMAL, bound=3.0)
+        patched = self.block_simulated(monkeypatch, normals, source, substream(Seed(1)))
+        assert np.abs(patched).max() <= 3.0
+        assert abs(patched.mean()) < 0.005
+        assert abs(patched.var() - truncnorm(-3.0, 3.0).var()) < 0.01
+        # exactly the entries beyond the bound were replaced, in step-major
+        # order from the source's own stream, and are put back after
+        beyond = np.abs(raw) > 3.0
+        np.testing.assert_array_equal(patched != raw, beyond)
+        want = source.draw(substream(Seed(1)), (int(beyond.sum()),))
+        assert patched[beyond].tobytes() == want.tobytes()
+        assert normals.block.tobytes() == raw.tobytes()
+
+    def test_unbounded_source_sees_the_block_as_it_is(self, monkeypatch):
+        normals = SharedNormals(substream(Seed(2)), 500, 30)
+        raw = normals.block.copy()
+        gen = substream(Seed(3))
+        state = gen.bit_generator.state
+        source = InnovationSource(SourceKind.TRIMMED_NORMAL, bound=math.inf)
+        patched = self.block_simulated(monkeypatch, normals, source, gen)
+        assert patched.tobytes() == raw.tobytes()
+        assert gen.bit_generator.state == state
+
+    def test_block_put_back_when_the_ensemble_fails(self, monkeypatch):
+        normals = SharedNormals(substream(Seed(4)), 2000, 30)
+        raw = normals.block.copy()
+        source = InnovationSource(SourceKind.TRIMMED_NORMAL, bound=3.0)
+        with pytest.raises(TrimBoundError):
+            self.block_simulated(monkeypatch, normals, source, substream(Seed(5)),
+                                 fail=True)
+        assert normals.block.tobytes() == raw.tobytes()
+
+    def test_bootstrap_source_refused(self, fitted):
+        normals = SharedNormals(substream(Seed(6)), 100, 2)
+        source = innovation_source(fitted["GE"], SourceKind.EMPIRICAL)
+        with pytest.raises(DataError, match="only a trimmed-normal source"):
+            simulate_squares(fitted["GE"], source, substream(Seed(7)), 100, 2, normals)
+
+
 class TestWorkingSet:
-    # An ensemble peaks at two (h, M) blocks while it simulates: the
-    # step-major copy that the steps overwrite with their signed roots, and
-    # the y^2 scratch. The draw is freed once simulate_paths has copied it,
-    # and while it is drawn it holds two blocks only as it gathers.
+    # An ensemble peaks at two (h, M) blocks: the draw and its step-major
+    # copy while simulate_paths copies, then the copy that the steps
+    # overwrite with their signed roots and a y^2 ring of at most
+    # (h + 1) / 2 rows. The draw is freed once copied, and while it is
+    # drawn it holds two blocks only as it gathers.
     BLOCK = 30 * 5000 * 8
 
     @staticmethod
