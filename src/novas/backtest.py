@@ -34,6 +34,13 @@ draws: a window peaks below three ``(h, M)`` blocks, the shared block, an
 ensemble's step-major copy of its innovations, and that ensemble's ``y^2``
 ring of at most ``(h + 1) / 2`` rows.
 
+:func:`run_rolling_poos` lists the methods once, one row each. A window
+returns its points as one ``(method, horizon)`` array, NaN where it is out of
+reach or a family died, and the windows stack into one ``(method, horizon,
+window)`` table. Each ``BacktestReport.predictions[m][h]`` is a view of row
+``m``'s first ``counts[h]`` windows, and ``h`` scores every method on the
+windows where no family died and every point is finite.
+
 Windows are independent, so they run in a pool of forked worker processes
 (``BacktestConfig.threads`` of them, by default one per usable CPU). The
 pool's modules, ``multiprocessing`` and ``concurrent.futures``, are imported
@@ -53,17 +60,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
+from numbers import Real
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CalibrationError, DataError, FitError
+from .errors import CalibrationError, DataError, FitError, as_count
 from .garch import fit_garch11_mle, garch_bootstrap_squares, garch_direct_forecast
 from .innovations import Seed, SharedNormals, SourceKind, substream
 from .predictor import (
     Risk,
     aggregated_squared,
-    as_count,
     check_paths,
     ensemble_points,
     innovation_source,
@@ -136,8 +143,8 @@ class BacktestConfig:
             raise DataError("window must be positive")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise DataError("horizons must be positive")
-        if any(not 0.0 < a < 1.0 for a in self.alpha_grid):
-            raise DataError("every alpha must lie in (0, 1)")
+        if any(not isinstance(a, Real) or not 0.0 < a < 1.0 for a in self.alpha_grid):
+            raise DataError("every alpha must be a number in (0, 1)")
         if self.metric not in ("squared", "literal"):
             raise DataError(f"unknown metric {self.metric!r}")
         if any(k not in KINDS for k in self.kinds):
@@ -156,9 +163,12 @@ class BacktestConfig:
             if self.threads < 1:
                 raise DataError(f"threads must be at least 1, got {self.threads}")
         object.__setattr__(self, "seed", Seed.of(self.seed))
-        object.__setattr__(
-            self, "variants", tuple(NovasVariant(v) for v in self.variants)
-        )
+        try:
+            variants = tuple(NovasVariant(v) for v in self.variants)
+        except ValueError:
+            names = tuple(v.value for v in NovasVariant)
+            raise DataError(f"variants must be among {names}") from None
+        object.__setattr__(self, "variants", variants)
         # a repeated entry would score its methods twice, and the substream
         # of a repeated alpha's later position would overwrite its predictions
         for name in ("alpha_grid", "variants", "risks", "kinds"):
@@ -214,26 +224,16 @@ def score_performance(preds, truths, metric: str = "squared") -> float:
     raise DataError(f"unknown metric {metric!r}")
 
 
-def _novas_methods(cfg: BacktestConfig, usable: dict[NovasVariant, tuple[float, ...]]):
-    out = []
-    for variant in cfg.variants:
-        for alpha in usable[variant]:
-            for risk in cfg.risks:
-                for kind in cfg.kinds:
-                    out.append(MethodKey(variant.value, alpha, risk, kind))
-    return out
-
-
-def _store_points(preds, method: MethodKey, squares, h_here, risks) -> None:
+def _store_points(out, rows, method: MethodKey, squares, h_here, risks) -> None:
     """Reduce one ensemble's step-major squares to its points at every
-    horizon in ``h_here`` and store them under ``method`` with each risk;
-    the medians are taken only when an L1 point is asked for."""
+    horizon in ``h_here`` and write them into its row of ``out`` with each
+    risk; the medians are taken only when an L1 point is asked for."""
     means, medians = ensemble_points(
         aggregated_squared(squares, h_here), medians=Risk.L1.value in risks
     )
     for risk in risks:
         points = means if Risk(risk) is Risk.L2 else medians
-        preds[replace(method, risk=risk)] = dict(zip(h_here, points))
+        out[rows[replace(method, risk=risk)], : len(h_here)] = points
 
 
 def _run_window(
@@ -241,15 +241,18 @@ def _run_window(
     cfg: BacktestConfig,
     usable: dict[NovasVariant, tuple[float, ...]],
     counts: dict[int, int],
+    rows: dict[MethodKey, int],
     w0: int,
-) -> tuple[dict[MethodKey, dict[int, float]], list[str]]:
-    """Point forecasts of every method on the window starting at ``w0``, and
-    the families that could not be fitted there. Module-level so that the
-    process pool can pickle it."""
+) -> tuple[np.ndarray, list[str]]:
+    """Point forecasts of every method on the window starting at ``w0``, as
+    one ``(method, horizon)`` array whose row ``rows[m]`` is method ``m``'s,
+    NaN where the family could not be fitted or beyond the horizons it
+    reaches (a prefix of ``cfg.horizons``), and the families that could not
+    be fitted. Module-level so that the process pool can pickle it."""
     window_returns = ReturnSeries(values[w0 : w0 + cfg.window])
     h_here = [h for h in cfg.horizons if w0 < counts[h]]
     h_top = max(h_here)
-    preds: dict[MethodKey, dict[int, float]] = {}
+    out = np.full((len(rows), len(cfg.horizons)), np.nan)
     dead_families: list[str] = []
 
     fitted = []  # (variant, alpha index, alpha, transform)
@@ -281,7 +284,7 @@ def _run_window(
             source = innovation_source(ct, KIND_TO_SOURCE[kind])
             gen = substream(cfg.seed, _DOMAIN_NOVAS, w0, _VARIANT_INDEX[variant], ai,
                             _KIND_INDEX[kind])
-            _store_points(preds, MethodKey(variant.value, alpha, None, kind),
+            _store_points(out, rows, MethodKey(variant.value, alpha, None, kind),
                           simulate_squares(ct, source, gen, cfg.paths, h_top, normals),
                           h_here, cfg.risks)
         del normals
@@ -294,14 +297,14 @@ def _run_window(
         variances = garch_direct_forecast(
             fit, float(window_returns.values[-1] ** 2), h_top
         )
-        vcum = np.cumsum(variances)
-        preds[_BENCHMARK] = {h: float(vcum[h - 1] / h) for h in h_here}
+        h = np.array(h_here)
+        out[rows[_BENCHMARK], : h.size] = np.cumsum(variances)[h - 1] / h
         if cfg.include_garch_bootstrap:
             gen = substream(cfg.seed, _DOMAIN_GARCH_BOOT, w0)
-            _store_points(preds, MethodKey("GARCH_BOOT"),
+            _store_points(out, rows, MethodKey("GARCH_BOOT"),
                           garch_bootstrap_squares(fit, gen, cfg.paths, h_top),
                           h_here, cfg.risks)
-    return preds, dead_families
+    return out, dead_families
 
 
 def _one_blas_thread() -> None:
@@ -350,12 +353,17 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
         if len(usable[v]) < len(cfg.alpha_grid)
     }
 
-    methods = _novas_methods(cfg, usable)
+    methods = [
+        MethodKey(variant.value, alpha, risk, kind)
+        for variant in cfg.variants for alpha in usable[variant]
+        for risk in cfg.risks for kind in cfg.kinds
+    ]
     if cfg.include_garch_bootstrap:
         methods += [MethodKey("GARCH_BOOT", None, risk, None) for risk in cfg.risks]
     methods.append(_BENCHMARK)
+    rows = {m: i for i, m in enumerate(methods)}
 
-    run_window = partial(_run_window, values, cfg, usable, counts)
+    run_window = partial(_run_window, values, cfg, usable, counts, rows)
     workers = min(cfg.threads, n_windows)
     if workers > 1:
         import multiprocessing
@@ -371,53 +379,42 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
     else:
         results = [run_window(w0) for w0 in range(n_windows)]
 
+    # one (method, horizon, window) table, NaN past each horizon's count
+    table = np.stack([out for out, _ in results], axis=-1)
+    ok = np.array([not dead for _, dead in results])
     predictions = {
-        m: {h: np.full(counts[h], np.nan) for h in horizons} for m in methods
+        m: {h: table[i, j, : counts[h]] for j, h in enumerate(horizons)}
+        for i, m in enumerate(methods)
     }
-    window_ok = {h: np.ones(counts[h], dtype=bool) for h in horizons}
-    for w0, (preds, dead_families) in enumerate(results):
-        if dead_families:
-            for h in horizons:
-                if w0 < counts[h]:
-                    window_ok[h][w0] = False
-        for key, by_h in preds.items():
-            for h, value in by_h.items():
-                predictions[key][h][w0] = value
 
     sq = values * values
     truths = {
         h: sliding_window_view(sq[cfg.window :], h).mean(axis=1) for h in horizons
     }
 
-    scores: list[MethodScore] = []
-    raw: dict[tuple[MethodKey, int], tuple[float, int]] = {}
-    for h in horizons:
-        # every method is scored on the same windows
-        mask = window_ok[h].copy()
-        for m in methods:
-            mask &= np.isfinite(predictions[m][h])
+    # every method is scored on the same windows
+    masks = [ok[: counts[h]] & np.isfinite(table[:, j, : counts[h]]).all(axis=0)
+             for j, h in enumerate(horizons)]
+    for h, mask in zip(horizons, masks):
         if not mask.any():
             raise CalibrationError(
                 f"no window has a usable prediction from every method at h={h}"
             )
-        for m in methods:
-            score = score_performance(
-                predictions[m][h][mask], truths[h][mask], cfg.metric
-            )
-            raw[(m, h)] = (score, int(mask.sum()))
-
-    benchmark_scores = {h: raw[(_BENCHMARK, h)][0] for h in horizons}
+    method_scores = [
+        [score_performance(by_h[h][mask], truths[h][mask], cfg.metric)
+         for h, mask in zip(horizons, masks)]
+        for by_h in predictions.values()
+    ]
+    benchmark_scores = dict(zip(horizons, method_scores[rows[_BENCHMARK]]))
     for h, s in benchmark_scores.items():
         if s == 0.0:
             raise DataError(f"benchmark score is zero at h={h}; ratios undefined")
-    for m in methods:
-        for h in horizons:
-            score, count = raw[(m, h)]
-            scores.append(
-                MethodScore(m, h, score, count, score / benchmark_scores[h])
-            )
+    scores = [
+        MethodScore(m, h, score, int(mask.sum()), score / benchmark_scores[h])
+        for m, row in zip(methods, method_scores)
+        for h, mask, score in zip(horizons, masks, row)
+    ]
 
-    failed = {h: int((~window_ok[h]).sum()) for h in horizons}
     return BacktestReport(
         horizons=horizons,
         counts=counts,
@@ -426,7 +423,7 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
         scores=scores,
         benchmark_scores=benchmark_scores,
         infeasible=infeasible,
-        failed_windows=failed,
+        failed_windows={h: int((~ok[: counts[h]]).sum()) for h in horizons},
     )
 
 

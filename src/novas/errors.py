@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one integer check."""
+
+import operator
 
 
 class NovasError(Exception):
@@ -59,3 +61,12 @@ class FitError(NovasError):
     """Likelihood optimization failed to produce a usable optimum."""
 
     category = "infeasible"
+
+
+def as_count(name: str, value) -> int:
+    """``value`` as a Python int through ``operator.index``, so that a float or
+    a string is refused when a config is built; a numpy integer is accepted."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"{name} must be an integer, got {value!r}") from None

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, as_count
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,13 @@ class Seed:
     value: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.value) < 2**64:
+        object.__setattr__(self, "value", as_count("seed", self.value))
+        if not 0 <= self.value < 2**64:
             raise DataError(f"seed {self.value} outside [0, 2**64)")
-        object.__setattr__(self, "value", int(self.value))
 
     @classmethod
     def of(cls, seed) -> "Seed":
-        return seed if isinstance(seed, Seed) else cls(int(seed))
+        return seed if isinstance(seed, Seed) else cls(seed)
 
 
 def substream(seed, *key: int) -> np.random.Generator:

@@ -24,12 +24,11 @@ by one selection pass (:func:`_median`), bit-identical to ``np.median``.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, TrimBoundError
+from .errors import DataError, TrimBoundError, as_count
 from .innovations import InnovationSource, Seed, SharedNormals, SourceKind, substream
 from .returns import welford_update
 from .transform import TRIM_GUARD, CalibratedTransform
@@ -44,16 +43,6 @@ MIN_PATHS = 100
 # cap) is never touched, so it costs no resident memory. Elsewhere it is a
 # no-op, and a set MALLOC_MMAP_THRESHOLD_ turns the dynamic threshold off.
 np.empty(1 << 21)
-
-
-def as_count(name: str, value) -> int:
-    """``value`` as a Python int, taken through ``operator.index``, so that
-    a float or a string is refused when a config is built instead of deep in
-    a run; a numpy integer is accepted."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DataError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_paths(paths: int) -> None:

@@ -19,7 +19,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, as_count
 from .innovations import Seed, substream
 from .returns import ReturnSeries
 
@@ -40,6 +40,8 @@ class ModelSpec:
     scale_t_errors: bool = False
 
     def __post_init__(self):
+        for name in ("n", "burn_in"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         object.__setattr__(self, "seed", Seed.of(self.seed))
         if self.model not in MODELS:
             raise DataError(f"unknown model {self.model!r} (expected M1..M8)")

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from novas import (
     BacktestConfig,
+    CalibrationError,
     DataError,
+    FitError,
     ForecastRequest,
     MethodKey,
     NovasVariant,
@@ -152,6 +154,18 @@ class TestPreconditions:
         # not deduplicated: an alpha's position keys its substream
         with pytest.raises(DataError, match=f"{name} repeats an entry"):
             small_config(**{name: self.REPEATED[name]})
+
+    # each used to escape as a bare ValueError or TypeError
+    UNKNOWN = {
+        "variants": (("XX",), "variants must be among"),
+        "alpha_grid": (("0.5",), "every alpha must be a number"),
+    }
+
+    @pytest.mark.parametrize("name", UNKNOWN)
+    def test_unknown_entry(self, name):
+        value, message = self.UNKNOWN[name]
+        with pytest.raises(DataError, match=message):
+            BacktestConfig(window=100, **{name: value})
 
 
 class TestCounts:
@@ -485,20 +499,40 @@ class TestWorkingSet:
         assert peak < 3 * block, f"peak {peak / block:.2f} (30, 5000) blocks"
 
 
+def fits(variant, alpha, window, grid) -> bool:
+    """Whether both the NoVaS variant and the GARCH baseline can be fitted
+    on ``window``: a window where either cannot is a dead one."""
+    try:
+        calibrate(variant, alpha, window, grid)
+        fit_garch11_mle(window)
+    except (CalibrationError, DataError, FitError):
+        return False
+    return True
+
+
 class TestDegenerateWindows:
-    def test_common_window_masking(self):
+    @pytest.mark.parametrize("horizons", [(1,), (1, 5)])
+    def test_common_window_masking(self, horizons):
         rng = np.random.default_rng(3)
         values = rng.normal(scale=0.01, size=90)
         values[5:70] = 0.004  # constant stretch kills fully covered windows
         y = ReturnSeries(values)
-        cfg = small_config(window=60, horizons=(1,), alpha_grid=(0.5,),
+        cfg = small_config(window=60, horizons=horizons, alpha_grid=(0.5,),
                            variants=(NovasVariant.GE_NO_A0,), risks=("L2",),
                            kinds=("mc",))
         report = run_rolling_poos(y, cfg)
-        assert report.failed_windows[1] > 0
-        counts = {s.n_predictions for s in report.scores if s.horizon == 1}
-        assert len(counts) == 1  # every method scored on the same windows
-        assert counts.pop() == report.counts[1] - report.failed_windows[1]
+        dead = [
+            w0 for w0 in range(report.counts[1])
+            if not fits(NovasVariant.GE_NO_A0, 0.5, ReturnSeries(values[w0 : w0 + 60]),
+                        cfg.grid)
+        ]
+        assert dead
+        # a dead window is masked at every horizon it reaches
+        for h in horizons:
+            assert report.failed_windows[h] == sum(w0 < report.counts[h] for w0 in dead)
+            counts = {s.n_predictions for s in report.scores if s.horizon == h}
+            assert len(counts) == 1  # every method scored on the same windows
+            assert counts.pop() == report.counts[h] - report.failed_windows[h]
 
 
 class TestRelativeReport:

@@ -1,7 +1,7 @@
 """Modules of the package use only each other's public names, every public
-name and every defaulted parameter has a caller outside the tests, none of
-them needs scipy or numpy.ma, and importing the package loads no process-pool
-module."""
+name, every defaulted parameter and every defaulted field of a public
+dataclass has a caller outside the tests, none of them needs scipy or
+numpy.ma, and importing the package loads no process-pool module."""
 
 import ast
 import math
@@ -236,6 +236,35 @@ def _defaulted(args: ast.arguments) -> list[tuple[float, str]]:
     ]
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _defaulted_fields(node: ast.ClassDef) -> list[tuple[int, str]]:
+    """The position and name of each defaulted field of a dataclass: its
+    fields are the parameters of its ``__init__``, in the order declared."""
+    fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+    return [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
+
+
+def _public_defaults(tree) -> list[tuple[str, list[tuple[float, str]]]]:
+    """Each public function and public dataclass of a module, with the
+    position and name of each of its defaulted parameters; a dataclass's
+    are the defaulted fields that its ``__init__`` takes."""
+    out = []
+    for node in tree.body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((node.name, _defaulted(node.args)))
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            out.append((node.name, _defaulted_fields(node)))
+    return out
+
+
 def test_every_defaulted_parameter_is_passed():
     calls = {}
     for path in CALLERS:
@@ -244,16 +273,14 @@ def test_every_defaulted_parameter_is_passed():
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(_passed(node))
     unpassed = [
-        f"{path.stem}.{node.name}.{param}"
+        f"{path.stem}.{name}.{param}"
         for path in SOURCES
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not node.name.startswith("_")
-        for position, param in _defaulted(node.args)
-        if f"{node.name}.{param}" not in TEST_ONLY
+        for name, defaulted in _public_defaults(ast.parse(path.read_text()))
+        for position, param in defaulted
+        if f"{name}.{param}" not in TEST_ONLY
         and not any(
             position < count or param in names or None in names
-            for count, names in calls.get(node.name, [])
+            for count, names in calls.get(name, [])
         )
     ]
     assert not unpassed, unpassed

@@ -41,6 +41,12 @@ class TestSeed:
             Seed(-1)
         with pytest.raises(DataError):
             Seed(2**64)
+        # a seed is an integer, not a number that truncates to one
+        for value in (2.9, "3"):
+            with pytest.raises(DataError, match="seed must be an integer"):
+                Seed(value)
+            with pytest.raises(DataError, match="seed must be an integer"):
+                Seed.of(value)
 
 
 class TestTrimmedNormal:

@@ -45,6 +45,12 @@ class TestSpec:
     def test_lengths(self):
         for n in (250, 500):
             assert len(generate(ModelSpec(model="M3", n=n, seed=Seed(0)))) == n
+        spec = ModelSpec(model="M3", n=np.int64(20), burn_in=np.int32(5))
+        assert len(generate(spec)) == 20
+        # refused when the spec is built, not with a TypeError inside generate
+        for name, value in (("n", 2.5), ("burn_in", 10.0), ("n", "20")):
+            with pytest.raises(DataError, match=f"{name} must be an integer"):
+                ModelSpec(model="M3", **{name: value})
 
     def test_seed_determinism(self):
         for model in ("M1", "M3", "M5", "M6", "M7"):
