@@ -6,8 +6,8 @@ forecasts for every (variant, alpha, risk, innovation-kind) combination plus
 the GARCH bootstrap and direct baselines, and scores each method against the
 realized aggregates. All methods see identical windows and identical truth
 sequences; every random stream is derived from (seed, window, method), or
-from (seed, window) for the one shared by a window's methods, so reports do
-not depend on the parallel schedule.
+from (seed, window) for the two blocks shared by a window's methods, so
+reports do not depend on the parallel schedule.
 
 A window has no forecasting code of its own. Its ensembles come from two
 producers, under its own substreams, each simulated once per method at the
@@ -18,21 +18,31 @@ sum over them gives the per-path means at every horizon of the window, and
 one ``ensemble_points`` call reduces those to the L2 and L1 points at every
 horizon.
 
-The ``mc`` ensembles of a window share its Monte-Carlo noise (common random
-numbers): the window draws one step-major ``(h, M)`` block of standard
-normals from its own substream domain, keyed by the window alone, and every
-``mc`` ensemble takes its innovations from that block, a bounded transform
-(GE, GA) with the entries beyond its bound replaced by trimmed-normal draws
-from its method's own substream. So each ensemble keeps its own law, while
-the differences between methods, which the comparison reads, carry less
-noise. The ``boot`` ensembles and the GARCH bootstrap draw their own.
+The ensembles of a window share its Monte-Carlo noise (common random
+numbers), so each keeps its own law, while the differences between methods,
+which the comparison reads, carry less noise. The window draws one
+step-major ``(h, M)`` block of standard normals from its own substream
+domain, keyed by the window alone, and every ``mc`` ensemble takes its
+innovations from that block, a bounded transform (GE, GA) with the entries
+beyond its bound replaced by trimmed-normal draws from its method's own
+substream. Every bootstrap of the window resamples through one step-major
+``(h, M)`` block ``U`` of uniforms, from another domain keyed by the window
+alone: each ``boot`` ensemble gathers its residual pool at
+``floor(U * len(pool))``, and the GARCH bootstrap its fitted volatilities at
+the indices of the same ``U``, with normal multipliers of its own. Pools of
+one length share one index block. A window builds only the generators its
+ensembles read: none for a ``boot`` ensemble or for an ``mc`` one with an
+infinite bound.
 
 Each ensemble's squares go straight into the reduction and no name keeps
 them, so a window holds one ensemble at a time. The ``mc`` ensembles run
 before any ``boot`` one, and the shared block is freed before the ``boot``
-draws: a window peaks below three ``(h, M)`` blocks, the shared block, an
-ensemble's step-major copy of its innovations, and that ensemble's ``y^2``
-ring of at most ``(h + 1) / 2`` rows.
+ensembles: a window peaks below three ``(h, M)`` blocks, the shared block,
+an ensemble's step-major copy of its innovations, and that ensemble's
+``y^2`` ring of at most ``(h + 1) / 2`` rows. The ``boot`` ensembles run by
+pool length, and the window holds one length's ``int32`` index block at a
+time, half an ``(h, M)`` block, drawing ``U`` afresh for each length rather
+than holding it.
 
 :func:`run_rolling_poos` lists the methods once, one row each. A window
 returns its points as one ``(method, horizon)`` array, NaN where it is out of
@@ -47,7 +57,9 @@ pool's modules, ``multiprocessing`` and ``concurrent.futures``, are imported
 in :func:`run_rolling_poos` only when it starts a pool, so ``import novas``
 does not pay for them. Fork hands each worker the imported numpy, the window
 inputs and the calibration scans prepared by ``feasible_alphas`` without a
-fresh import; because each window draws only from its own substreams, the
+fresh import; the pool's initializer keeps the window inputs in each worker
+as it starts, so each task sends only its window's start. Because each
+window draws only from its own substreams, the
 predictions are byte-identical at every worker count. Each worker pins
 numpy's OpenBLAS to one thread as it starts, so a pooled run needs no
 ``OPENBLAS_NUM_THREADS`` in the environment. Fork copies only the
@@ -57,6 +69,7 @@ locks (a logging handler, a server loop) should pass ``threads=1``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -67,7 +80,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CalibrationError, DataError, FitError, as_count
 from .garch import fit_garch11_mle, garch_bootstrap_squares, garch_direct_forecast
-from .innovations import Seed, SharedNormals, SourceKind, substream
+from .innovations import Seed, SharedNormals, SourceKind, resample_indices, substream
 from .predictor import (
     Risk,
     aggregated_squared,
@@ -89,6 +102,7 @@ KINDS = tuple(KIND_TO_SOURCE)
 _DOMAIN_NOVAS = 1
 _DOMAIN_GARCH_BOOT = 2
 _DOMAIN_NORMALS = 3
+_DOMAIN_UNIFORMS = 4
 
 
 @dataclass(frozen=True)
@@ -273,21 +287,37 @@ def _run_window(
             for ai, alpha in enumerate(cfg.alpha_grid) if alpha in transforms
         ]
 
+    def shared_indices(size: int) -> np.ndarray:
+        """Indices into a pool of ``size`` from the window's one block of
+        uniforms, drawn afresh for each call rather than held."""
+        return resample_indices(substream(cfg.seed, _DOMAIN_UNIFORMS, w0),
+                                cfg.paths, h_top, size)
+
     # every mc ensemble runs first, from the window's one block of shared
-    # normals, which is freed before the boot draws and the GARCH bootstrap
+    # normals, which is freed before the boot ensembles; these run by pool
+    # length, each length's index block built once, and only one held
     for kind in sorted(cfg.kinds, key=_KIND_INDEX.get):
-        normals = (
-            SharedNormals(substream(cfg.seed, _DOMAIN_NORMALS, w0), cfg.paths, h_top)
-            if kind == "mc" and fitted else None
-        )
-        for variant, ai, alpha, ct in fitted:
+        if kind == "mc":
+            ensembles = fitted
+            shared = SharedNormals(substream(cfg.seed, _DOMAIN_NORMALS, w0),
+                                   cfg.paths, h_top) if fitted else None
+        else:
+            ensembles = sorted(fitted, key=lambda f: f[3].residuals.size)
+            shared = size = None
+        for variant, ai, alpha, ct in ensembles:
             source = innovation_source(ct, KIND_TO_SOURCE[kind])
+            if kind == "boot" and ct.residuals.size != size:
+                size = ct.residuals.size
+                shared = None  # freed before the next length's block is built
+                shared = shared_indices(size)
+            # only a bounded source draws, for its shared entries beyond the
+            # bound; an a0-free transform's bound and a bootstrap's are infinite
             gen = substream(cfg.seed, _DOMAIN_NOVAS, w0, _VARIANT_INDEX[variant], ai,
-                            _KIND_INDEX[kind])
+                            _KIND_INDEX[kind]) if math.isfinite(source.bound) else None
             _store_points(out, rows, MethodKey(variant.value, alpha, None, kind),
-                          simulate_squares(ct, source, gen, cfg.paths, h_top, normals),
+                          simulate_squares(ct, source, gen, cfg.paths, h_top, shared),
                           h_here, cfg.risks)
-        del normals
+        del shared
 
     try:
         fit = fit_garch11_mle(window_returns)
@@ -301,9 +331,8 @@ def _run_window(
         out[rows[_BENCHMARK], : h.size] = np.cumsum(variances)[h - 1] / h
         if cfg.include_garch_bootstrap:
             gen = substream(cfg.seed, _DOMAIN_GARCH_BOOT, w0)
-            _store_points(out, rows, MethodKey("GARCH_BOOT"),
-                          garch_bootstrap_squares(fit, gen, cfg.paths, h_top),
-                          h_here, cfg.risks)
+            _store_points(out, rows, MethodKey("GARCH_BOOT"), garch_bootstrap_squares(
+                fit, gen, shared_indices(fit.sigma2_path.size)), h_here, cfg.risks)
     return out, dead_families
 
 
@@ -327,6 +356,25 @@ def _one_blas_thread() -> None:
             continue
         setter.argtypes, setter.restype = [ctypes.c_int], None
         setter(1)
+
+
+# the window inputs of a pooled run, bound into _run_window; set only in
+# each forked worker, as it starts
+_worker_window = None
+
+
+def _start_worker(run_window) -> None:
+    """The initializer of each forked worker: keep the run's window inputs,
+    bound into ``run_window``, so that each task sends only its window's
+    start, and pin BLAS to one thread."""
+    global _worker_window
+    _worker_window = run_window
+    _one_blas_thread()
+
+
+def _pooled_window(w0: int) -> tuple[np.ndarray, list[str]]:
+    """A pooled task: the window starting at ``w0``, from the worker's inputs."""
+    return _worker_window(w0)
 
 
 def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
@@ -370,12 +418,13 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
         from concurrent.futures import ProcessPoolExecutor
 
         # chunksize 1: the early windows carry every horizon and take longest,
-        # so handing them out one at a time keeps the workers evenly loaded
+        # so handing them out one at a time keeps the workers evenly loaded.
+        # Fork hands the initializer its argument unpickled
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_one_blas_thread,
+            initializer=_start_worker, initargs=(run_window,),
         ) as pool:
-            results = list(pool.map(run_window, range(n_windows)))
+            results = list(pool.map(_pooled_window, range(n_windows)))
     else:
         results = [run_window(w0) for w0 in range(n_windows)]
 

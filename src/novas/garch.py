@@ -1,5 +1,7 @@
 """GARCH(1,1) comparison methods: Gaussian quasi-MLE, the direct variance
-recursion, and the bootstrap variant that resamples fitted volatilities.
+recursion, and the bootstrap variant that resamples fitted volatilities, at
+indices its caller gives, so that a backtest window's bootstraps can share
+one block of uniforms.
 
 Estimation minimizes the negative log-likelihood over a smooth
 reparameterization (log intercept; persistence and its ARCH share through
@@ -419,16 +421,20 @@ def garch_direct_forecast(fit: GarchFit, last_y2: float, h: int) -> np.ndarray:
 
 
 def garch_bootstrap_squares(
-    fit: GarchFit, gen: np.random.Generator, M: int, h: int
+    fit: GarchFit, gen: np.random.Generator, indices: np.ndarray
 ) -> np.ndarray:
     """The step-major ``(h, M)`` squares of ``M`` bootstrap paths of ``h``
-    steps from a fitted model, one contiguous row per step.
+    steps from a fitted model, for a step-major ``(h, M)`` block of
+    ``indices`` into its fitted volatilities.
 
-    Each path value is a fitted volatility resampled i.i.d. (all drawn
-    first, as an ``(M, h)`` matrix) times a fresh standard-normal innovation
-    (drawn second, in the same shape); the squares come in the layout of
+    Each path value is the fitted volatility at its index times a fresh
+    standard-normal innovation, drawn from ``gen`` in the same step-major
+    order. A backtest window passes the index block of its shared uniforms
+    (``innovations.resample_indices``), so the GARCH bootstrap resamples
+    through the same uniforms as the window's NoVaS bootstraps. The squares
+    come one contiguous row per step, in the layout of
     ``predictor.simulate_squares``.
     """
-    paths = gen.choice(np.sqrt(fit.sigma2_path), size=(M, h), replace=True)
-    paths *= gen.standard_normal((M, h))
-    return np.square(paths.T, order="C")
+    paths = np.sqrt(fit.sigma2_path).take(indices)
+    paths *= gen.standard_normal(indices.shape)
+    return np.square(paths, out=paths)

@@ -11,7 +11,11 @@ Several truncated-normal ensembles can also share one block of standard
 normals (:class:`SharedNormals`, common random numbers): each takes the block
 with only its entries beyond its own bound replaced by draws of its own.
 An entry within a bound is a draw of that bound's truncated normal, so every
-entry each ensemble sees is an independent draw of its own source.
+entry each ensemble sees is an independent draw of its own source. Several
+bootstraps can likewise share one block ``U`` of uniforms on ``[0, 1)``
+(:func:`resample_indices`): each resamples its pool at the indices
+``floor(U * len(pool))``, which are i.i.d. uniform over the pool, so each
+bootstrap keeps its own law, and pools of one length share one index block.
 """
 
 from __future__ import annotations
@@ -133,6 +137,26 @@ class SharedNormals:
             yield self.block
         finally:
             flat[at] = kept
+
+
+def resample_indices(gen: np.random.Generator, paths: int, h: int, size: int) -> np.ndarray:
+    """A step-major ``(h, paths)`` block of ``int32`` indices into a pool of
+    ``size`` entries: ``floor(U * size)`` for the ``(h, paths)`` block ``U``
+    of uniforms on ``[0, 1)`` that ``gen`` draws next.
+
+    Every index is uniform over ``range(size)`` and none reaches ``size``: a
+    double ``u < 1`` is at most ``1 - 2**-53``, and ``size * (1 - 2**-53)``
+    lies more than half a spacing of the doubles below ``size``, or on the
+    double just below it where ``size`` is a power of two, so the product
+    rounds below ``size``. Generators in one state draw one ``U``, so they
+    give pools of one size byte-identical blocks and pools of other sizes
+    blocks that rise and fall with it (common random numbers).
+    """
+    if not 0 < size <= np.iinfo(np.int32).max:
+        raise DataError(f"pool of {size} entries cannot be indexed by int32")
+    uniforms = gen.random((h, paths))
+    uniforms *= size
+    return uniforms.astype(np.int32)
 
 
 def _rejection_normal(

@@ -4,11 +4,14 @@ The library's one ensemble path, :func:`simulate_squares`, taken by
 :func:`predict` and every NoVaS ensemble of a backtest window: ``M``
 innovation vectors of length ``h`` are drawn and go through the inverse
 transform (:func:`simulate_paths`), each pseudo-return feeding back into the
-lag window and the recursive variance. The Monte-Carlo ensembles of a
-backtest window draw no block of their own: they share the window's block of
+lag window and the recursive variance. The ensembles of a backtest window
+draw no block of their own. The Monte-Carlo ones share the window's block of
 standard normals (:class:`~novas.innovations.SharedNormals`), each with its
 entries beyond its own bound replaced by draws from its own substream, so
-each keeps its own truncated normal. Every lag profile is
+each keeps its own truncated normal. The bootstrap ones resample their pools
+through the window's block of uniforms, each gathering its pool at an index
+block of its pool's length (:func:`~novas.innovations.resample_indices`).
+Every lag profile is
 geometric, so a path's lag window is one running sum, O(1) state per path
 whatever the lag order. Each step writes its signed roots into one row of a
 step-major ``(h, M)`` array, and the ensemble comes back as the step-major
@@ -258,8 +261,8 @@ def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarr
 
 
 def simulate_squares(
-    ct: CalibratedTransform, source: InnovationSource, gen: np.random.Generator,
-    paths: int, h: int, normals: SharedNormals | None = None,
+    ct: CalibratedTransform, source: InnovationSource, gen: np.random.Generator | None,
+    paths: int, h: int, shared: SharedNormals | np.ndarray | None = None,
 ) -> np.ndarray:
     """The step-major ``(h, M)`` squares of an ensemble of ``paths`` futures.
 
@@ -271,20 +274,35 @@ def simulate_squares(
     ``(h, M)`` blocks, the draw and its copy, and then simulates in the
     copy and a ``y^2`` ring of at most ``(h + 1) / 2`` rows.
 
-    With ``normals``, a shared ``(h, paths)`` block, a trimmed-normal
-    ``source`` takes its innovations from that block instead: only the
-    entries beyond its bound are drawn from ``source`` with ``gen``, and
-    they replace the block's in step-major order until the block is copied.
-    The ensemble then adds its copy and ring to the caller's block.
+    With ``shared``, a backtest window's ``(h, paths)`` block, the ensemble
+    draws no matrix of its own, and adds its copy and ring to the caller's
+    block:
+
+    - shared normals (:class:`~novas.innovations.SharedNormals`) serve a
+      trimmed-normal ``source``: only the entries beyond its bound are drawn
+      from ``source`` with ``gen``, and they replace the block's in
+      step-major order until the block is copied;
+    - a block of ``int32`` indices into the pool of a bootstrap ``source``
+      (:func:`~novas.innovations.resample_indices`) is gathered from the
+      pool here, and the gather is passed on as a temporary.
+
+    ``gen`` may be ``None`` where the ensemble reads nothing from it: a
+    bootstrap from shared indices, or shared normals with no entry beyond
+    the bound, which an infinite bound never has.
     """
-    if normals is None:
+    if shared is None:
         signed = simulate_paths(ct, source.draw(gen, (paths, h))).T
-    else:
+    elif isinstance(shared, SharedNormals):
         if source.kind is not SourceKind.TRIMMED_NORMAL:
             raise DataError("only a trimmed-normal source draws from shared normals")
-        beyond = normals.beyond(source.bound)
-        with normals.replaced(beyond, source.draw(gen, beyond.shape)) as block:
+        beyond = shared.beyond(source.bound)
+        fresh = source.draw(gen, beyond.shape) if beyond.size else np.empty(0)
+        with shared.replaced(beyond, fresh) as block:
             signed = simulate_paths(ct, block.T).T
+    else:
+        if source.kind is not SourceKind.EMPIRICAL:
+            raise DataError("only a bootstrap source resamples at shared indices")
+        signed = simulate_paths(ct, source.residual_pool.take(shared).T).T
     return np.square(signed, out=signed)
 
 

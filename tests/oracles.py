@@ -257,21 +257,21 @@ def oracle_running_means(path) -> list[float]:
     return out
 
 
-def oracle_garch_bootstrap_paths(sigma2_path, gen, M: int, h: int) -> list[list[float]]:
-    """``M`` GARCH bootstrap paths of ``h`` steps, each value a fitted
-    volatility resampled i.i.d. times a standard normal, as plain lists.
+def oracle_garch_bootstrap_paths(sigma2_path, indices, gen) -> list[list[float]]:
+    """The ``M`` GARCH bootstrap paths of ``h`` steps for a step-major
+    ``(h, M)`` block of ``indices`` into the fitted volatilities, each value
+    the volatility at its index times a standard normal, as plain lists.
 
-    The draws come from ``gen`` in the bootstrap's order: the index of every
-    volatility of the ``(M, h)`` path matrix first, row by row, then every
-    normal in the same order.
+    The normals come from ``gen`` in the step-major order of the indices.
     """
     vols = [math.sqrt(float(v)) for v in sigma2_path]
-    picks = gen.integers(0, len(vols), size=(M, h)).tolist()
-    normals = gen.standard_normal((M, h)).tolist()
-    return [
+    picks = np.asarray(indices).tolist()
+    normals = gen.standard_normal(np.shape(indices)).tolist()
+    steps = [
         [vols[i] * w for i, w in zip(pick_row, normal_row)]
         for pick_row, normal_row in zip(picks, normals)
     ]
+    return [list(path) for path in zip(*steps)]
 
 
 def oracle_rejection_normal(gen, bound: float, count: int):

@@ -304,6 +304,21 @@ class TestDeterminism:
                 assert single.predictions[m][h].tobytes() == arr.tobytes(), (
                     m.label(), h)
 
+    def test_boot_ensembles_independent_of_the_other_methods(self, short_series,
+                                                             small_report):
+        # the window's shared uniforms are keyed by the window alone and drawn
+        # at its largest horizon, whichever methods it runs, and so are the
+        # index blocks built from them
+        single = run_rolling_poos(
+            short_series, small_config(variants=(NovasVariant.GE,), kinds=("boot",))
+        )
+        keys = [m for m in single.predictions if m.family in ("GE", "GARCH_BOOT")]
+        assert {m.kind for m in keys} == {"boot", None} and len(keys) == 4 + 2
+        for m in keys:
+            for h, arr in small_report.predictions[m].items():
+                assert single.predictions[m][h].tobytes() == arr.tobytes(), (
+                    m.label(), h)
+
     def test_seed_changes_predictions(self, short_series, small_report):
         other = run_rolling_poos(short_series, small_config(seed=Seed(8)))
         some_key = next(
@@ -395,8 +410,20 @@ class TestLibraryPath:
     aggregate and reduce, and the GARCH bootstrap reduces its paths the same
     way. A window's ``mc`` ensembles take their innovations from one shared
     block of standard normals, each with its entries beyond its own bound
-    replaced by draws from its own substream; ``predict`` and the ``boot``
-    ensembles draw their own."""
+    replaced by draws from its own substream. Its ``boot`` ensembles and its
+    GARCH bootstrap resample their pools through one shared block ``U`` of
+    uniforms, at ``floor(U * len(pool))``; ``predict`` draws its own."""
+
+    @staticmethod
+    def shared_blocks(cfg, w0, h_top):
+        """A window's shared normals and uniforms, drawn afresh."""
+        normals = substream(
+            cfg.seed, novas.backtest._DOMAIN_NORMALS, w0
+        ).standard_normal((h_top, cfg.paths))
+        uniforms = substream(
+            cfg.seed, novas.backtest._DOMAIN_UNIFORMS, w0
+        ).random((h_top, cfg.paths))
+        return normals, uniforms
 
     def test_backtest_entries_rebuilt_from_library_pieces(self, short_series):
         y = ReturnSeries(short_series.values[:70])
@@ -410,9 +437,7 @@ class TestLibraryPath:
             window = ReturnSeries(y.values[w0 : w0 + cfg.window])
             h_here = [h for h in cfg.horizons if w0 < report.counts[h]]
             h_top = max(h_here)
-            normals = substream(
-                cfg.seed, novas.backtest._DOMAIN_NORMALS, w0
-            ).standard_normal((h_top, cfg.paths))
+            normals, uniforms = self.shared_blocks(cfg, w0, h_top)
             expected = {}
             for variant in cfg.variants:
                 vi = list(NovasVariant).index(variant)
@@ -431,14 +456,16 @@ class TestLibraryPath:
                             patched[beyond] = source.draw(gen, (int(beyond.sum()),))
                             draws = patched.T
                         else:
-                            draws = source.draw(gen, (cfg.paths, h_top))
+                            pool = source.residual_pool
+                            draws = pool[np.floor(uniforms * pool.size).astype(int)].T
                         aggs = running_means(simulate_paths(ct, draws), h_here)
                         for risk in cfg.risks:
                             key = MethodKey(variant.value, alpha, risk, kind)
                             expected[key] = aggs, risk
             gen = substream(cfg.seed, novas.backtest._DOMAIN_GARCH_BOOT, w0)
             fit = fit_garch11_mle(window)
-            paths = oracle_garch_bootstrap_paths(fit.sigma2_path, gen, cfg.paths, h_top)
+            indices = np.floor(uniforms * fit.sigma2_path.size).astype(int)
+            paths = oracle_garch_bootstrap_paths(fit.sigma2_path, indices, gen)
             for risk in cfg.risks:
                 key = MethodKey("GARCH_BOOT", None, risk, None)
                 expected[key] = running_means(paths, h_here), risk
@@ -468,8 +495,10 @@ class TestLibraryPath:
                            paths=200, seed=Seed(11))
         report = run_rolling_poos(short_series, cfg)
         fit = fit_garch11_mle(ReturnSeries(short_series.values[:81]))
+        _, uniforms = self.shared_blocks(cfg, 0, 9)
+        indices = np.floor(uniforms * fit.sigma2_path.size).astype(int)
         gen = substream(cfg.seed, novas.backtest._DOMAIN_GARCH_BOOT, 0)
-        paths = oracle_garch_bootstrap_paths(fit.sigma2_path, gen, 200, 9)
+        paths = oracle_garch_bootstrap_paths(fit.sigma2_path, indices, gen)
         got = report.predictions[MethodKey("GARCH_BOOT", None, risk.value, None)][9][0]
         assert got == numpy_point(running_means(paths, [9])[0], risk)
 

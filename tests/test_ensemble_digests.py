@@ -156,7 +156,7 @@ def test_predict_digest(transforms, variant, kind):
     assert digest(*results) == PREDICT[variant.value, kind.value]
 
 
-BACKTEST = "b1003b4f0634f849"
+BACKTEST = "c3d578bd2015259e"
 
 
 def test_backtest_predictions_digest():

@@ -21,6 +21,7 @@ from novas import (
 )
 import novas.garch as garch
 from novas.garch import _STARTS, _derivatives, _loglik, garch_bootstrap_squares
+from novas.innovations import resample_indices
 from novas.predictor import aggregated_squared
 from novas.simulate import ModelSpec
 
@@ -311,10 +312,18 @@ class TestDirectForecast:
         assert np.all(out > 0)
 
 
+def bootstrap_squares(fit, M, h, seed):
+    """The squares of ``M`` GARCH bootstrap paths of ``h`` steps, resampled
+    at indices from one substream of ``seed`` and multiplied by normals from
+    another."""
+    indices = resample_indices(substream(seed, 0), M, h, fit.sigma2_path.size)
+    return garch_bootstrap_squares(fit, substream(seed, 1), indices)
+
+
 def bootstrap_point(fit, h, M, risk, seed):
     """The GARCH bootstrap forecast of the mean ``h``-step square, reduced
     as a backtest window reduces it."""
-    squares = garch_bootstrap_squares(fit, substream(seed), M, h)
+    squares = bootstrap_squares(fit, M, h, seed)
     stats = aggregated_squared(squares, [h])[0]
     return float(np.mean(stats) if risk is Risk.L2 else np.median(stats))
 
@@ -339,19 +348,21 @@ class TestBootstrapForecast:
         y = generate(ModelSpec(model="M3", n=200, seed=Seed(4)))
         fit = fit_garch11_mle(y)
         np.testing.assert_array_equal(
-            garch_bootstrap_squares(fit, substream(Seed(9)), 1000, 5),
-            garch_bootstrap_squares(fit, substream(Seed(9)), 1000, 5),
+            bootstrap_squares(fit, 1000, 5, Seed(9)),
+            bootstrap_squares(fit, 1000, 5, Seed(9)),
         )
         a = bootstrap_point(fit, 5, 1000, Risk.L1, Seed(9))
         assert a == bootstrap_point(fit, 5, 1000, Risk.L1, Seed(9))
 
     def test_squares_are_the_paths_squared_step_major(self):
-        # every volatility drawn first, then every normal, both path by path;
-        # the squares come back one contiguous row per step
+        # each volatility at its index times a normal, the normals drawn in
+        # the step-major order of the indices; the squares come back one
+        # contiguous row per step
         y = generate(ModelSpec(model="M3", n=200, seed=Seed(4)))
         fit = fit_garch11_mle(y)
-        squares = garch_bootstrap_squares(fit, substream(Seed(6)), 70, 4)
-        paths = oracle_garch_bootstrap_paths(fit.sigma2_path, substream(Seed(6)), 70, 4)
+        indices = resample_indices(substream(Seed(5)), 70, 4, fit.sigma2_path.size)
+        squares = garch_bootstrap_squares(fit, substream(Seed(6)), indices)
+        paths = oracle_garch_bootstrap_paths(fit.sigma2_path, indices, substream(Seed(6)))
         assert squares.shape == (4, 70) and squares.flags.c_contiguous
         want = [[path[k] * path[k] for path in paths] for k in range(4)]
         assert squares.tobytes() == np.array(want).tobytes()

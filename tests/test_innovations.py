@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.stats import chisquare, norm
 
 from novas import (
     DataError,
@@ -14,7 +14,7 @@ from novas import (
     SourceKind,
     substream,
 )
-from novas.innovations import _rejection_normal
+from novas.innovations import _rejection_normal, resample_indices
 
 from oracles import oracle_rejection_normal
 
@@ -150,6 +150,61 @@ class TestEmpirical:
         draws = empirical(pool, 1000, Seed(6))
         want = substream(Seed(6)).choice(np.array(pool), size=1000, replace=True)
         assert draws.tobytes() == want.tobytes()
+
+
+class FixedUniforms:
+    """A generator stand-in whose every uniform is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
+class TestResampleIndices:
+    """A backtest window's bootstraps resample their pools through one block
+    ``U`` of uniforms, at the indices ``floor(U * len(pool))``."""
+
+    @pytest.mark.parametrize("size", [2, 7, 243, 250])
+    def test_uniform_over_the_pool(self, size):
+        # criterion 04's tolerance on 10**6 entries: every index's share
+        # within 0.005 of 1 / size, and a chi-square test of uniformity
+        indices = resample_indices(substream(Seed(size)), 1000, 1000, size)
+        assert indices.shape == (1000, 1000) and indices.dtype == np.int32
+        assert indices.min() >= 0 and indices.max() < size
+        counts = np.bincount(indices.ravel(), minlength=size)
+        assert np.abs(counts / indices.size - 1 / size).max() < 0.005
+        assert chisquare(counts).pvalue > 1e-6
+
+    @pytest.mark.parametrize("size", [
+        1, 2, 3, 4, 243, 249, 250, 256, 2**20, 2**20 + 1, 2**30, 10**9 + 7, 2**31 - 1,
+    ])
+    def test_no_index_reaches_the_size(self, size):
+        # the largest double below 1 maps to the last entry, also where the
+        # size is a power of two; 0 maps to the first
+        top = np.nextafter(1.0, 0.0)
+        indices = resample_indices(FixedUniforms(top), 1000, 1000, size)
+        assert indices.size == 10**6 and (indices == size - 1).all()
+        assert (resample_indices(FixedUniforms(0.0), 100, 1, size) == 0).all()
+
+    def test_no_index_reaches_any_small_size(self):
+        top = FixedUniforms(np.nextafter(1.0, 0.0))
+        assert all(resample_indices(top, 1, 1, size)[0, 0] == size - 1
+                   for size in range(1, 5000))
+
+    @pytest.mark.parametrize("size", [0, -1, 2**31])
+    def test_size_outside_int32_refused(self, size):
+        with pytest.raises(DataError, match="cannot be indexed by int32"):
+            resample_indices(substream(Seed(0)), 100, 1, size)
+
+    def test_equal_length_pools_share_one_block(self):
+        def block(size):
+            return resample_indices(substream(Seed(3), 4, 17), 1000, 1000, size)
+
+        assert block(243).tobytes() == block(243).tobytes()
+        # one U for every size: doubling a size doubles each product exactly
+        np.testing.assert_array_equal(block(250) // 2, block(125))
 
 
 class TestSubstreams:

@@ -34,7 +34,7 @@ from novas import (
 )
 import novas.predictor
 from novas.garch import fit_garch11_mle
-from novas.innovations import SharedNormals, substream
+from novas.innovations import SharedNormals, resample_indices, substream
 from novas.predictor import _median, aggregated_squared, ensemble_points, simulate_squares
 from novas.returns import variance_path, welford_update
 from novas.simulate import ModelSpec
@@ -164,8 +164,9 @@ class TestAggregatedSquared:
         source = innovation_source(ct, SourceKind.EMPIRICAL)
         step_major = simulate_paths(ct, source.draw(substream(Seed(2)), (120, 12)))
         fit = fit_garch11_mle(ct.history)
+        indices = resample_indices(substream(Seed(3)), 120, 12, fit.sigma2_path.size)
         path_major = np.array(
-            oracle_garch_bootstrap_paths(fit.sigma2_path, substream(Seed(2)), 120, 12)
+            oracle_garch_bootstrap_paths(fit.sigma2_path, indices, substream(Seed(2)))
         )
         assert step_major.T.flags.c_contiguous
         return {"simulate_paths": step_major, "garch_bootstrap_paths": path_major}
@@ -588,6 +589,41 @@ class TestSharedNormals:
         source = innovation_source(fitted["GE"], SourceKind.EMPIRICAL)
         with pytest.raises(DataError, match="only a trimmed-normal source"):
             simulate_squares(fitted["GE"], source, substream(Seed(7)), 100, 2, normals)
+
+
+class TestSharedIndices:
+    """With a window's index block, ``simulate_squares`` hands
+    ``simulate_paths`` a bootstrap source's pool gathered at those indices,
+    and reads nothing from a generator."""
+
+    def test_bootstrap_source_sees_its_pool_at_the_indices(self, monkeypatch, fitted):
+        seen = []
+
+        def recording(ct, innovations):
+            seen.append(np.array(innovations.T))
+            return np.zeros(innovations.shape)
+
+        monkeypatch.setattr(novas.predictor, "simulate_paths", recording)
+        source = innovation_source(fitted["GE"], SourceKind.EMPIRICAL)
+        pool = source.residual_pool
+        indices = resample_indices(substream(Seed(8)), 300, 7, pool.size)
+        simulate_squares(fitted["GE"], source, None, 300, 7, indices)
+        assert seen[0].tobytes() == pool[indices.astype(np.intp)].tobytes()
+
+    def test_trimmed_normal_source_refused(self, fitted):
+        source = innovation_source(fitted["GE"], SourceKind.TRIMMED_NORMAL)
+        indices = resample_indices(substream(Seed(9)), 100, 2, 50)
+        with pytest.raises(DataError, match="only a bootstrap source"):
+            simulate_squares(fitted["GE"], source, None, 100, 2, indices)
+
+    def test_unbounded_normals_need_no_generator(self, fitted):
+        ct = fitted["GE_NO_A0"]
+        source = innovation_source(ct, SourceKind.TRIMMED_NORMAL)
+        assert math.isinf(source.bound)
+        normals = SharedNormals(substream(Seed(10)), 100, 3)
+        got = simulate_squares(ct, source, None, 100, 3, normals)
+        want = simulate_squares(ct, source, substream(Seed(11)), 100, 3, normals)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestWorkingSet:
