@@ -148,6 +148,12 @@ class BacktestConfig:
     threads: int | None = None
 
     def __post_init__(self):
+        for name in ("horizons", "alpha_grid", "variants", "risks", "kinds"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(value))
+            except TypeError:
+                raise DataError(f"{name} must be a sequence, got {value!r}") from None
         for name in ("window", "paths"):
             object.__setattr__(self, name, as_count(name, getattr(self, name)))
         object.__setattr__(self, "horizons", tuple(
@@ -208,9 +214,13 @@ class BacktestReport:
     truths: dict[int, np.ndarray]
     predictions: dict[MethodKey, dict[int, np.ndarray]]
     scores: list[MethodScore]
-    benchmark_scores: dict[int, float]
     infeasible: dict[str, tuple[float, ...]]
     failed_windows: dict[int, int]
+
+    @property
+    def benchmark_scores(self) -> dict[int, float]:
+        """The GARCH-direct score at each horizon, which every ratio divides by."""
+        return {s.horizon: s.score for s in self.scores if s.method == _BENCHMARK}
 
     def score_for(self, method: MethodKey, horizon: int) -> MethodScore:
         for s in self.scores:
@@ -454,14 +464,14 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
          for h, mask in zip(horizons, masks)]
         for by_h in predictions.values()
     ]
-    benchmark_scores = dict(zip(horizons, method_scores[rows[_BENCHMARK]]))
-    for h, s in benchmark_scores.items():
+    benchmark = method_scores[rows[_BENCHMARK]]
+    for h, s in zip(horizons, benchmark):
         if s == 0.0:
             raise DataError(f"benchmark score is zero at h={h}; ratios undefined")
     scores = [
-        MethodScore(m, h, score, int(mask.sum()), score / benchmark_scores[h])
+        MethodScore(m, h, score, int(mask.sum()), score / base)
         for m, row in zip(methods, method_scores)
-        for h, mask, score in zip(horizons, masks, row)
+        for h, mask, score, base in zip(horizons, masks, row, benchmark)
     ]
 
     return BacktestReport(
@@ -470,7 +480,6 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
         truths=truths,
         predictions=predictions,
         scores=scores,
-        benchmark_scores=benchmark_scores,
         infeasible=infeasible,
         failed_windows={h: int((~ok[: counts[h]]).sum()) for h in horizons},
     )

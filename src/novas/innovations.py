@@ -24,6 +24,7 @@ import enum
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -81,7 +82,10 @@ class InnovationSource:
         except ValueError:
             raise DataError(f"unknown innovation source kind {self.kind!r}") from None
         if self.kind is SourceKind.EMPIRICAL:
-            pool = np.asarray(self.residual_pool, dtype=float)
+            try:
+                pool = np.asarray(self.residual_pool, dtype=float)
+            except (TypeError, ValueError):
+                raise DataError("residual_pool must be a sequence of numbers") from None
             if pool.ndim != 1 or pool.size == 0 or not np.isfinite(pool).all():
                 raise DataError(
                     "empirical innovation source needs a nonempty 1-D pool of "
@@ -89,6 +93,8 @@ class InnovationSource:
                 )
             object.__setattr__(self, "residual_pool", pool)
         else:
+            if not isinstance(self.bound, Real):
+                raise DataError(f"bound must be a number, got {self.bound!r}")
             if not self.bound > 0.0:
                 raise DataError(f"truncation bound {self.bound} must be positive")
             if math.isfinite(self.bound) and self.bound < MIN_BOUND:

@@ -40,7 +40,10 @@ class ReturnSeries:
     values: np.ndarray = field()
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        try:
+            values = np.array(self.values, dtype=float)
+        except (TypeError, ValueError):
+            raise DataError("return series values must be a sequence of numbers") from None
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size == 0:

@@ -38,18 +38,20 @@ it. Neither part depends on the data. The scan then serves every variant:
 per lag order, one matrix product of the window's lagged squared returns and
 those lag weights, and one vectorized scoring of ``product + alpha * s2``
 across the candidates of all alphas, whose objectives are split back per
-alpha for selection. The winning weight set is evaluated through the plain
-:func:`forward_transform` path, which is what the returned transform
-reports. Neither the scan nor that path recomputes the variance path ``s2``:
-every variant, alpha and returned transform of a window reads the one
-cached on its :class:`ReturnSeries`.
+alpha for selection. Each alpha returns a :class:`CalibratedTransform` of
+its winning weight set and the window, which computes its residuals through
+:func:`forward_transform` as it is built and its objective only when read,
+so a backtest, which reads no objective, takes no kurtosis. Neither the scan
+nor the transform recomputes the variance path ``s2``: every variant, alpha
+and returned transform of a window reads the one cached on its
+:class:`ReturnSeries`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -73,12 +75,20 @@ TRIM_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class CalibratedTransform:
-    """A variant's fitted weights plus the studentized residuals they imply."""
+    """A variant's fitted weights and the window they were fitted to. Its
+    studentized residuals are computed as it is built, and refused beyond the
+    weights' trim bound; its objective ``|kurtosis - 3|`` when first read."""
 
     weights: NovasWeights
-    residuals: np.ndarray
     history: ReturnSeries
-    objective: float
+    residuals: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        residuals = forward_transform(self.history, self.weights)
+        bound = self.weights.trim_bound
+        if math.isfinite(bound) and np.abs(residuals).max() > bound * (1.0 + 1e-12):
+            raise DataError("residual exceeds the algebraic trim bound")
+        object.__setattr__(self, "residuals", residuals)
 
     @property
     def variant(self) -> NovasVariant:
@@ -89,17 +99,10 @@ class CalibratedTransform:
         """The variance estimate at the end of the history."""
         return float(self.history.variance_path[-1])
 
-    def __post_init__(self):
-        residuals = np.asarray(self.residuals, dtype=float)
-        object.__setattr__(self, "residuals", residuals)
-        if residuals.size != len(self.history) - self.weights.order:
-            raise DataError(
-                f"{residuals.size} residuals for n={len(self.history)}, "
-                f"order={self.weights.order}"
-            )
-        bound = self.weights.trim_bound
-        if math.isfinite(bound) and np.abs(residuals).max() > bound * (1.0 + 1e-12):
-            raise DataError("residual exceeds the algebraic trim bound")
+    @functools.cached_property
+    def objective(self) -> float:
+        """The residuals' distance from normal kurtosis, ``|kurtosis - 3|``."""
+        return abs(sample_kurtosis(self.residuals) - 3.0)
 
 
 def forward_transform(y: ReturnSeries, w: NovasWeights) -> np.ndarray:
@@ -366,18 +369,13 @@ def calibrate_many(
         core += s2[order:n, None] * alpha
         objs[slots], mus[slots] = _column_scores(values[order:], core, eff, mass)
     return {
-        alpha: _finish(y, _select(weights, objs[lo:hi].tolist(), mus[lo:hi].tolist()))
+        alpha: CalibratedTransform(
+            _select(weights, objs[lo:hi].tolist(), mus[lo:hi].tolist()), y
+        )
         for alpha, weights, lo, hi in zip(
             alphas, plan.weights, plan.bounds, plan.bounds[1:]
         )
     }
-
-
-def _finish(y: ReturnSeries, weights: NovasWeights) -> CalibratedTransform:
-    """Evaluate the winning weight set through the plain transform path."""
-    residuals = forward_transform(y, weights)
-    objective = abs(sample_kurtosis(residuals) - 3.0)
-    return CalibratedTransform(weights, residuals, y, objective)
 
 
 def calibrate(

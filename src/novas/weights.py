@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, asdict
+from numbers import Real
 
 import numpy as np
 
@@ -63,14 +64,13 @@ class NovasWeights:
     (GE family: ``alpha + a0 + sum(lags) = 1``; GA family:
     ``a0/(1-b1) + alpha + sum(lags) = 1``). ``shape`` carries the free
     parameters that generated the profile: ``(c,)`` for GE, ``(a1, b1)``
-    for GA.
+    for GA. The lag order is the length of ``lags``, a nonempty 1-D array.
     """
 
     variant: NovasVariant
     alpha: float
     a0: float
     lags: np.ndarray
-    order: int
     shape: tuple[float, ...]
 
     def __eq__(self, other) -> bool:
@@ -80,7 +80,6 @@ class NovasWeights:
             self.variant is other.variant
             and self.alpha == other.alpha
             and self.a0 == other.a0
-            and self.order == other.order
             and self.shape == other.shape
             and np.array_equal(self.lags, other.lags)
         )
@@ -90,8 +89,8 @@ class NovasWeights:
         object.__setattr__(self, "lags", lags)
         if not 0.0 < self.alpha < 1.0:
             raise InfeasibleWeightsError("alpha", f"alpha={self.alpha} not in (0,1)")
-        if self.order != lags.size or self.order < 1:
-            raise InfeasibleWeightsError("order", f"order={self.order} invalid")
+        if lags.ndim != 1 or lags.size < 1:
+            raise InfeasibleWeightsError("order", f"lags of shape {lags.shape} invalid")
         if self.a0 < 0.0 or np.any(lags < 0.0):
             raise InfeasibleWeightsError("negative", "negative weight")
         total = self.y2_self_coef + self.alpha + float(lags.sum())
@@ -99,6 +98,11 @@ class NovasWeights:
             raise InfeasibleWeightsError(
                 "sum", f"weight mass {total!r} differs from 1 beyond {SUM_TOL}"
             )
+
+    @property
+    def order(self) -> int:
+        """The lag order, the number of lag weights."""
+        return self.lags.size
 
     @property
     def y2_self_coef(self) -> float:
@@ -203,7 +207,7 @@ def build_weights(
         a0, lags = (float(weights[0]), weights[1:]) if variant.keeps_a0 else (0.0, weights)
         if variant is NovasVariant.GA_NO_A0:
             shape = (float(lags[0]), b1)
-    w = NovasWeights(variant, alpha, a0, lags, order, shape)
+    w = NovasWeights(variant, alpha, a0, lags, shape)
     if variant.keeps_a0:
         eff = w.y2_self_coef
         if eff > A0_MAX:
@@ -243,6 +247,9 @@ class CalibrationGrid:
     min_window: int = 50
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not isinstance(value, Real):
+                raise DataError(f"{name} must be a number, got {value!r}")
         # written as negated ranges, so a NaN is refused too
         for name in ("ga_step", "tail_mass"):
             if not 0.0 < getattr(self, name) < 1.0:

@@ -167,6 +167,18 @@ class TestPreconditions:
         with pytest.raises(DataError, match=message):
             BacktestConfig(window=100, **{name: value})
 
+    # each used to escape as a bare TypeError
+    @pytest.mark.parametrize("name, value", [
+        ("horizons", 5), ("alpha_grid", 0.5), ("variants", None), ("risks", 2),
+        ("kinds", None),
+    ])
+    def test_scalar_for_a_sequence_refused(self, name, value):
+        with pytest.raises(DataError, match=f"{name} must be a sequence, got {value}"):
+            BacktestConfig(window=250, **{name: value})
+        cfg = BacktestConfig(window=250, horizons=[5, 1], alpha_grid=np.array([0.5]),
+                             risks=["L2"])
+        assert (cfg.horizons, cfg.alpha_grid, cfg.risks) == ((1, 5), (0.5,), ("L2",))
+
 
 class TestCounts:
     def test_prediction_count_arithmetic(self):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,22 @@ class TestBootstrapForecast:
         assert squares.shape == (4, 70) and squares.flags.c_contiguous
         want = [[path[k] * path[k] for path in paths] for k in range(4)]
         assert squares.tobytes() == np.array(want).tobytes()
+
+    def test_holds_two_and_a_half_blocks(self):
+        # the int32 index block is half an (h, M) block: drawing it holds the
+        # uniforms beside it, the gather casts it to intp beside its output,
+        # and the normals join that output beside it. An intp block would
+        # hold three blocks and lift a backtest window past three
+        fit = fit_garch11_mle(generate(ModelSpec(model="M3", n=250, seed=Seed(3))))
+        bootstrap_squares(fit, 5000, 30, Seed(1))
+        tracemalloc.start()
+        try:
+            bootstrap_squares(fit, 5000, 30, Seed(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 30 * 5000 * 8
+        assert peak < 2.6 * block, f"peak {peak / block:.2f} (30, 5000) blocks"
 
     def test_two_seeds_converge_at_large_m(self):
         y = generate(ModelSpec(model="M3", n=400, seed=Seed(8)))

@@ -243,10 +243,23 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     )
 
 
+def _in_init(stmt: ast.AnnAssign) -> bool:
+    """Whether a dataclass field is a parameter of its ``__init__``: every
+    field but one declared with ``field(init=False)``."""
+    value = stmt.value
+    return not (
+        isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+        and any(kw.arg == "init" and getattr(kw.value, "value", None) is False
+                for kw in value.keywords)
+    )
+
+
 def _defaulted_fields(node: ast.ClassDef) -> list[tuple[int, str]]:
     """The position and name of each defaulted field of a dataclass: its
-    fields are the parameters of its ``__init__``, in the order declared."""
-    fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+    fields that ``__init__`` takes are its parameters, in the order
+    declared."""
+    fields = [stmt for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign) and _in_init(stmt)]
     return [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
 
 

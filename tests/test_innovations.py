@@ -262,6 +262,20 @@ class TestInnovationSource:
         with pytest.raises(DataError, match="nonempty 1-D pool of finite residuals"):
             InnovationSource(SourceKind.EMPIRICAL, residual_pool=pool)
 
+    # each used to escape as a bare ValueError or TypeError
+    @pytest.mark.parametrize("kind, args, message", [
+        (SourceKind.EMPIRICAL, {"residual_pool": ["a"]}, "residual_pool must be"),
+        (SourceKind.EMPIRICAL, {"residual_pool": [[1.0], [2.0, 3.0]]}, "residual_pool must be"),
+        (SourceKind.TRIMMED_NORMAL, {"bound": "x"}, "bound must be a number"),
+        (SourceKind.TRIMMED_NORMAL, {"bound": None}, "bound must be a number"),
+    ], ids=["pool-strings", "pool-ragged", "bound-string", "bound-none"])
+    def test_malformed_input_refused(self, kind, args, message):
+        with pytest.raises(DataError, match=message):
+            InnovationSource(kind, **args)
+        InnovationSource(SourceKind.TRIMMED_NORMAL, bound=np.float64(4.0))
+        InnovationSource(SourceKind.TRIMMED_NORMAL, bound=4)
+        InnovationSource(SourceKind.EMPIRICAL, residual_pool=[np.float32(1.0), 2])
+
     def test_trimmed_bound_admissibility(self):
         with pytest.raises(DataError, match="< 3"):
             InnovationSource(SourceKind.TRIMMED_NORMAL, bound=2.5)

@@ -235,6 +235,15 @@ class TestSeriesTypes:
         with pytest.raises(DataError):
             ReturnSeries(np.array([1.0, np.nan]))
 
+    # each used to escape as a bare ValueError
+    @pytest.mark.parametrize("values", [["a", "b"], [[1.0, 2.0], [3.0]], [1.0, None, "x"]],
+                             ids=["strings", "ragged", "mixed"])
+    def test_returns_must_be_numbers(self, values):
+        with pytest.raises(DataError, match="values must be a sequence of numbers"):
+            ReturnSeries(values)
+        for accepted in ([1, 2.5], np.array([1.0, 2.5]), (np.float32(1.0), np.int64(2))):
+            assert ReturnSeries(accepted).values.dtype == float
+
     def test_returns_are_an_immutable_copy(self):
         source = np.array([0.5, -1.0, 2.0])
         y = ReturnSeries(source)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from novas import (
+    BacktestConfig,
     CalibrationError,
     DataError,
     NovasVariant,
@@ -20,6 +21,7 @@ from novas import (
     forward_transform,
     generate,
     inverse_step,
+    run_rolling_poos,
     sample_kurtosis,
 )
 from novas.returns import variance_path
@@ -172,6 +174,29 @@ class TestCalibrate:
         assert a.weights == b.weights
         np.testing.assert_array_equal(a.residuals, b.residuals)
         assert a.objective == b.objective
+
+    def test_objective_computed_only_when_read(self, model3_window, monkeypatch):
+        # a backtest reads no objective, so it takes no kurtosis; a transform
+        # that reads its objective takes it from its own residuals
+        import novas.transform
+
+        calls = []
+
+        def counting(w):
+            calls.append(len(w))
+            return sample_kurtosis(w)
+
+        monkeypatch.setattr(novas.transform, "sample_kurtosis", counting)
+        y = generate(ModelSpec(model="M3", n=262, seed=Seed(5)))
+        cfg = BacktestConfig(window=250, horizons=(1, 5), alpha_grid=(0.3, 0.6),
+                             paths=200, grid=CalibrationGrid(ga_step=0.1), threads=1)
+        report = run_rolling_poos(y, cfg)
+        assert report.counts == {1: 12, 5: 8} and not any(report.failed_windows.values())
+        assert calls == []
+        ct = calibrate(NovasVariant.GE, 0.4, model3_window)
+        assert calls == []
+        assert ct.objective == abs(sample_kurtosis(ct.residuals) - 3.0)
+        assert ct.objective == ct.objective and calls == [ct.residuals.size]
 
     @pytest.mark.parametrize("variant", list(NovasVariant))
     def test_constraints_and_shapes(self, variant, model3_window):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from novas import A0_MAX, DataError, InfeasibleWeightsError, NovasVariant, build_weights
 from novas.transform import _candidate_table
 from novas.weights import lag_profile
-from novas.weights import CalibrationGrid
+from novas.weights import CalibrationGrid, NovasWeights
 
 from oracles import oracle_ga_budget
 
@@ -215,6 +215,26 @@ class TestCalibrationGrid:
     def test_unusable_value_rejected(self, field, value):
         with pytest.raises(DataError, match=field):
             CalibrationGrid(**{field: value})
+
+    # each used to escape as a bare TypeError
+    @pytest.mark.parametrize("field, value", [
+        ("ga_step", "0.1"), ("ge_c_max", None), ("order_cap", "30"), ("tail_mass", [0.01]),
+        ("eps_guard", "tiny"),
+    ])
+    def test_non_number_rejected(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be a number"):
+            CalibrationGrid(**{field: value})
+        default = getattr(CalibrationGrid(), field)
+        assert getattr(CalibrationGrid(**{field: np.float64(default)}), field) == default
+
+
+@pytest.mark.parametrize("lags", [[], [[0.25, 0.25]]], ids=["empty", "2d"])
+def test_weights_refuse_lags_of_no_order(lags):
+    with pytest.raises(InfeasibleWeightsError) as info:
+        NovasWeights(NovasVariant.GE_NO_A0, 0.5, 0.0, lags, (1.0,))
+    assert info.value.reason == "order"
+    w = NovasWeights(NovasVariant.GE_NO_A0, 0.5, 0.0, [0.25, 0.25], (1.0,))
+    assert w.order == 2 and w.to_dict()["order"] == 2
 
 
 @pytest.mark.parametrize("variant", list(NovasVariant), ids=lambda v: v.value)
