@@ -55,10 +55,11 @@ Windows are independent, so they run in a pool of forked worker processes
 (``BacktestConfig.threads`` of them, by default one per usable CPU). The
 pool's modules, ``multiprocessing`` and ``concurrent.futures``, are imported
 in :func:`run_rolling_poos` only when it starts a pool, so ``import novas``
-does not pay for them. Fork hands each worker the imported numpy, the window
-inputs and the calibration scans prepared by ``feasible_alphas`` without a
-fresh import; the pool's initializer keeps the window inputs in each worker
-as it starts, so each task sends only its window's start. Because each
+does not pay for them. Fork hands each worker the imported numpy and the
+calibration scans prepared by ``feasible_alphas`` without a fresh import.
+Serial and pooled runs map the same callable, the window inputs bound to
+``_run_window``, over the window starts; the pool pickles it with each
+task, so a run sets no module state in its workers. Because each
 window draws only from its own substreams, the
 predictions are byte-identical at every worker count. Each worker pins
 numpy's OpenBLAS to one thread as it starts, so a pooled run needs no
@@ -78,7 +79,7 @@ from numbers import Real
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CalibrationError, DataError, FitError, as_count
+from .errors import CalibrationError, DataError, FitError, as_count, as_flag
 from .garch import fit_garch11_mle, garch_bootstrap_squares, garch_direct_forecast
 from .innovations import Seed, SharedNormals, SourceKind, resample_indices, substream
 from .predictor import (
@@ -183,6 +184,8 @@ class BacktestConfig:
             if self.threads < 1:
                 raise DataError(f"threads must be at least 1, got {self.threads}")
         object.__setattr__(self, "seed", Seed.of(self.seed))
+        flag = as_flag("include_garch_bootstrap", self.include_garch_bootstrap)
+        object.__setattr__(self, "include_garch_bootstrap", flag)
         try:
             variants = tuple(NovasVariant(v) for v in self.variants)
         except ValueError:
@@ -348,9 +351,10 @@ def _run_window(
 
 def _one_blas_thread() -> None:
     """Pin every loaded OpenBLAS that exports numpy's thread setter to one
-    thread: the initializer of each forked worker, so that the workers do
-    not each run a BLAS thread pool and compete for the cores. The results
-    do not depend on it. It does nothing where no such library is found."""
+    thread: the pool's only initializer, run once in each forked worker,
+    so that the workers do not each run a BLAS thread pool and compete for
+    the cores. The results do not depend on it. It does nothing where no
+    such library is found."""
     import ctypes
 
     try:
@@ -366,25 +370,6 @@ def _one_blas_thread() -> None:
             continue
         setter.argtypes, setter.restype = [ctypes.c_int], None
         setter(1)
-
-
-# the window inputs of a pooled run, bound into _run_window; set only in
-# each forked worker, as it starts
-_worker_window = None
-
-
-def _start_worker(run_window) -> None:
-    """The initializer of each forked worker: keep the run's window inputs,
-    bound into ``run_window``, so that each task sends only its window's
-    start, and pin BLAS to one thread."""
-    global _worker_window
-    _worker_window = run_window
-    _one_blas_thread()
-
-
-def _pooled_window(w0: int) -> tuple[np.ndarray, list[str]]:
-    """A pooled task: the window starting at ``w0``, from the worker's inputs."""
-    return _worker_window(w0)
 
 
 def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
@@ -428,13 +413,12 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
         from concurrent.futures import ProcessPoolExecutor
 
         # chunksize 1: the early windows carry every horizon and take longest,
-        # so handing them out one at a time keeps the workers evenly loaded.
-        # Fork hands the initializer its argument unpickled
+        # so handing them out one at a time keeps the workers evenly loaded
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(run_window,),
+            initializer=_one_blas_thread,
         ) as pool:
-            results = list(pool.map(_pooled_window, range(n_windows)))
+            results = list(pool.map(run_window, range(n_windows)))
     else:
         results = [run_window(w0) for w0 in range(n_windows)]
 

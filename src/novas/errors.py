@@ -1,6 +1,9 @@
-"""Exception hierarchy shared across the package, and its one integer check."""
+"""Exception hierarchy shared across the package, and its one integer and
+one flag check."""
 
 import operator
+
+import numpy as np
 
 
 class NovasError(Exception):
@@ -70,3 +73,11 @@ def as_count(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise DataError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_flag(name: str, value) -> bool:
+    """``value`` as a Python bool; anything but a bool or a numpy bool is
+    refused, so that a string such as ``"no"`` cannot act as true."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise DataError(f"{name} must be a bool, got {value!r}")

@@ -69,7 +69,7 @@ class GarchParams:
         return {"omega": self.omega, "alpha1": self.alpha1, "beta1": self.beta1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GarchFit:
     """Fitted parameters with the in-sample conditional-variance path."""
 

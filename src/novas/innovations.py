@@ -68,7 +68,7 @@ class SourceKind(str, enum.Enum):
     EMPIRICAL = "EMPIRICAL"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnovationSource:
     """Where future innovations come from: truncated Monte Carlo or bootstrap."""
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DataError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnSeries:
     """Percent log-returns, the universal input of the forecasting pipeline.
 

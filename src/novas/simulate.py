@@ -19,7 +19,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .errors import DataError, as_count
+from .errors import DataError, as_count, as_flag
 from .innovations import Seed, substream
 from .returns import ReturnSeries
 
@@ -43,6 +43,8 @@ class ModelSpec:
         for name in ("n", "burn_in"):
             object.__setattr__(self, name, as_count(name, getattr(self, name)))
         object.__setattr__(self, "seed", Seed.of(self.seed))
+        object.__setattr__(self, "scale_t_errors",
+                           as_flag("scale_t_errors", self.scale_t_errors))
         if self.model not in MODELS:
             raise DataError(f"unknown model {self.model!r} (expected M1..M8)")
         if self.n < 1 or self.burn_in < 0:

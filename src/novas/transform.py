@@ -73,7 +73,7 @@ from .weights import CalibrationGrid, NovasVariant, NovasWeights, build_weights
 TRIM_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibratedTransform:
     """A variant's fitted weights and the window they were fitted to. Its
     studentized residuals are computed as it is built, and refused beyond the

@@ -35,7 +35,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DataError, InfeasibleWeightsError
+from .errors import DataError, InfeasibleWeightsError, as_count
 
 A0_MAX = 1.0 / 9.0
 SUM_TOL = 1e-12
@@ -261,6 +261,7 @@ class CalibrationGrid:
             )
         for name in ("ge_c_count", "order_cap", "order_cap_divisor", "order_max",
                      "min_window"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
             if not getattr(self, name) >= 1:
                 raise DataError(f"{name} {getattr(self, name)!r} must be at least 1")
 

@@ -142,6 +142,14 @@ class TestPreconditions:
         assert all(type(v) is int for v in (cfg.window, *cfg.horizons, cfg.paths,
                                              cfg.threads))
 
+    # a string used to build a config and act as true
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_non_bool_flag_refused(self, value):
+        with pytest.raises(DataError, match="include_garch_bootstrap must be a bool"):
+            small_config(include_garch_bootstrap=value)
+        cfg = small_config(include_garch_bootstrap=np.bool_(False))
+        assert cfg.include_garch_bootstrap is False
+
     REPEATED = {
         "alpha_grid": (0.5, 0.5),
         "variants": (NovasVariant.GE, "GE"),

@@ -172,6 +172,19 @@ def test_one_ensemble_path(path):
     assert not calls, calls
 
 
+# serial and pooled backtests map one callable over the window starts; a
+# global statement would be module state that a pooled run sets in each
+# worker, and so a second dispatch path beside that callable
+def test_no_global_statements():
+    found = [
+        f"{path.name} line {node.lineno}: global {', '.join(node.names)}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert not found, found
+
+
 # a public function or class that no code of the program names is an entry
 # point that only tests reach, and a defaulted parameter that no call of the
 # program passes is a knob that only tests turn; each allowed one says why it

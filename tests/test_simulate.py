@@ -52,6 +52,14 @@ class TestSpec:
             with pytest.raises(DataError, match=f"{name} must be an integer"):
                 ModelSpec(model="M3", **{name: value})
 
+    # a string used to build a spec and act as true
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_non_bool_flag_refused(self, value):
+        with pytest.raises(DataError, match="scale_t_errors must be a bool"):
+            ModelSpec(model="M5", n=100, scale_t_errors=value)
+        spec = ModelSpec(model="M5", n=100, scale_t_errors=np.bool_(True))
+        assert spec.scale_t_errors is True
+
     def test_seed_determinism(self):
         for model in ("M1", "M3", "M5", "M6", "M7"):
             a = generate(ModelSpec(model=model, n=100, seed=Seed(9)))

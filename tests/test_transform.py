@@ -10,6 +10,7 @@ from novas import (
     BacktestConfig,
     CalibrationError,
     DataError,
+    InnovationSource,
     NovasVariant,
     ReturnSeries,
     Seed,
@@ -18,6 +19,7 @@ from novas import (
     calibrate,
     calibrate_many,
     feasible_alphas,
+    fit_garch11_mle,
     forward_transform,
     generate,
     inverse_step,
@@ -165,6 +167,20 @@ class TestRoundTrip:
 @pytest.fixture(scope="module")
 def model3_window():
     return generate(ModelSpec(model="M3", n=300, seed=Seed(42)))
+
+
+# values that hold arrays compare and hash by identity; a value comparison
+# used to raise ValueError from the arrays' truth value, and hash TypeError
+@pytest.mark.parametrize("build", [
+    lambda y: ReturnSeries(y.values),
+    lambda y: calibrate(NovasVariant.GE, 0.4, y),
+    lambda y: InnovationSource("EMPIRICAL", residual_pool=[1.0, 2.0]),
+    lambda y: fit_garch11_mle(y),
+], ids=["ReturnSeries", "CalibratedTransform", "InnovationSource", "GarchFit"])
+def test_array_holding_values_compare_by_identity(build, model3_window):
+    a, b = build(model3_window), build(model3_window)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 class TestCalibrate:

@@ -210,7 +210,10 @@ class TestCalibrationGrid:
         [("ga_step", 0.0), ("ga_step", -0.5), ("ga_step", 1.0), ("ga_step", math.nan),
          ("ge_c_min", 0.0), ("ge_c_min", -1.0), ("ge_c_max", 0.001),
          ("ge_c_count", 0), ("order_cap", 0), ("order_cap_divisor", 0),
-         ("order_max", 0), ("min_window", 0), ("tail_mass", 0.0), ("tail_mass", 1.0)],
+         ("order_max", 0), ("min_window", 0), ("tail_mass", 0.0), ("tail_mass", 1.0),
+         # a fractional count used to build, and die later or be used as given
+         ("ge_c_count", 2.5), ("order_cap", 7.5), ("order_cap_divisor", 5.0),
+         ("order_max", 60.0), ("min_window", 50.5)],
     )
     def test_unusable_value_rejected(self, field, value):
         with pytest.raises(DataError, match=field):
@@ -224,8 +227,11 @@ class TestCalibrationGrid:
     def test_non_number_rejected(self, field, value):
         with pytest.raises(DataError, match=f"{field} must be a number"):
             CalibrationGrid(**{field: value})
+        # a numpy scalar of the field's own type is accepted: np.int64 for a
+        # count, np.float64 otherwise
         default = getattr(CalibrationGrid(), field)
-        assert getattr(CalibrationGrid(**{field: np.float64(default)}), field) == default
+        value = np.asarray(default)[()]
+        assert getattr(CalibrationGrid(**{field: value}), field) == default
 
 
 @pytest.mark.parametrize("lags", [[], [[0.25, 0.25]]], ids=["empty", "2d"])
