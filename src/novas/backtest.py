@@ -79,7 +79,7 @@ from numbers import Real
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CalibrationError, DataError, FitError, as_count, as_flag
+from .errors import CalibrationError, DataError, FitError, as_count
 from .garch import fit_garch11_mle, garch_bootstrap_squares, garch_direct_forecast
 from .innovations import Seed, SharedNormals, SourceKind, resample_indices, substream
 from .predictor import (
@@ -143,7 +143,6 @@ class BacktestConfig:
     seed: Seed = field(default_factory=Seed)
     grid: CalibrationGrid = field(default_factory=CalibrationGrid)
     metric: str = "squared"
-    include_garch_bootstrap: bool = True
     # worker processes (the name is kept for existing callers and sidecars);
     # None means one per usable CPU. Results do not depend on it.
     threads: int | None = None
@@ -184,8 +183,6 @@ class BacktestConfig:
             if self.threads < 1:
                 raise DataError(f"threads must be at least 1, got {self.threads}")
         object.__setattr__(self, "seed", Seed.of(self.seed))
-        flag = as_flag("include_garch_bootstrap", self.include_garch_bootstrap)
-        object.__setattr__(self, "include_garch_bootstrap", flag)
         try:
             variants = tuple(NovasVariant(v) for v in self.variants)
         except ValueError:
@@ -342,10 +339,9 @@ def _run_window(
         )
         h = np.array(h_here)
         out[rows[_BENCHMARK], : h.size] = np.cumsum(variances)[h - 1] / h
-        if cfg.include_garch_bootstrap:
-            gen = substream(cfg.seed, _DOMAIN_GARCH_BOOT, w0)
-            _store_points(out, rows, MethodKey("GARCH_BOOT"), garch_bootstrap_squares(
-                fit, gen, shared_indices(fit.sigma2_path.size)), h_here, cfg.risks)
+        gen = substream(cfg.seed, _DOMAIN_GARCH_BOOT, w0)
+        _store_points(out, rows, MethodKey("GARCH_BOOT"), garch_bootstrap_squares(
+            fit, gen, shared_indices(fit.sigma2_path.size)), h_here, cfg.risks)
     return out, dead_families
 
 
@@ -401,8 +397,7 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
         for variant in cfg.variants for alpha in usable[variant]
         for risk in cfg.risks for kind in cfg.kinds
     ]
-    if cfg.include_garch_bootstrap:
-        methods += [MethodKey("GARCH_BOOT", None, risk, None) for risk in cfg.risks]
+    methods += [MethodKey("GARCH_BOOT", None, risk, None) for risk in cfg.risks]
     methods.append(_BENCHMARK)
     rows = {m: i for i, m in enumerate(methods)}
 
@@ -469,18 +464,47 @@ def run_rolling_poos(y: ReturnSeries, cfg: BacktestConfig) -> BacktestReport:
     )
 
 
+def family_best(scores: list[MethodScore]) -> dict[tuple[str, int], float]:
+    """Each family's best (minimum) ratio at each horizon among ``scores``,
+    keyed by ``(family, horizon)``; on a tie the first one scored wins.
+
+    Pass a filtered list to select within part of each family: the scores
+    whose risk is not L1 give the best L2 ratios, the GARCH-direct one
+    included, since it has no risk.
+    """
+    best: dict[tuple[str, int], float] = {}
+    for s in scores:
+        key = (s.method.family, s.horizon)
+        if key not in best or s.ratio < best[key]:
+            best[key] = s.ratio
+    return best
+
+
+def spike_ratio(report: BacktestReport, family: str, horizon: int) -> float:
+    """The worst max/median, over a family's L2 methods, of its finite
+    per-window ``horizon``-step predictions, or 0.0 when the family has no
+    L2 method. A transform whose forecasts spike on outlying windows, as
+    the contemporaneous weight a0 makes them do, reads high; the a0-free
+    variants exist to read lower. The medians are ``ensemble_points``'
+    exact ones.
+    """
+    worst = 0.0
+    for method, by_h in report.predictions.items():
+        if method.family == family and method.risk == Risk.L2.value:
+            preds = by_h[horizon][np.isfinite(by_h[horizon])]
+            _, (median,) = ensemble_points(preds[None, :])
+            worst = max(worst, float(preds.max() / median))
+    return worst
+
+
 def relative_report(report: BacktestReport) -> list[dict]:
     """Family-best benchmark-relative table, one row per horizon.
 
     Every score is divided by the GARCH-direct score at the same horizon and
-    each family contributes its best (minimum-ratio) variant, the first one
-    scored on a tie, matching the published comparison format.
+    each family contributes its best (minimum-ratio) variant over both risks
+    (:func:`family_best`), matching the published comparison format.
     """
-    best: dict[tuple[str, int], float] = {}
-    for s in report.scores:
-        key = (s.method.family, s.horizon)
-        if key not in best or s.ratio < best[key]:
-            best[key] = s.ratio
+    best = family_best(report.scores)
     families = [f for f in FAMILIES if any(fam == f for fam, _ in best)]
     return [
         {"horizon": h, **{fam: best.get((fam, h)) for fam in families}}

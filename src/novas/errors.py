@@ -68,11 +68,14 @@ class FitError(NovasError):
 
 def as_count(name: str, value) -> int:
     """``value`` as a Python int through ``operator.index``, so that a float or
-    a string is refused when a config is built; a numpy integer is accepted."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DataError(f"{name} must be an integer, got {value!r}") from None
+    a string is refused when a config is built; a numpy integer is accepted,
+    a bool is refused, although ``operator.index(True)`` is 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DataError(f"{name} must be an integer, got {value!r}")
 
 
 def as_flag(name: str, value) -> bool:

@@ -248,7 +248,8 @@ class CalibrationGrid:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if not isinstance(value, Real):
+            # a bool is a Real, and would be kept as given and written as JSON true
+            if isinstance(value, bool) or not isinstance(value, Real):
                 raise DataError(f"{name} must be a number, got {value!r}")
         # written as negated ranges, so a NaN is refused too
         for name in ("ga_step", "tail_mass"):

@@ -2,11 +2,14 @@
 with its elapsed time (run with ``pytest tests/test_acceptance.py -v -s``).
 
 The three Model-1 comparison runs are shared by the directional-reproduction,
-stability, and table criteria through a session fixture.
+stability, and table criteria, and by the check of ``scripts/study.py``'s
+per-family rows, through a session fixture.
 """
 
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from novas import (
     run_rolling_poos,
     substream,
 )
-from novas.backtest import format_table
+from novas.backtest import family_best, format_table, spike_ratio
 from novas.innovations import _rejection_normal
 from novas.predictor import ForecastRequest, Risk, innovation_source, predict
 from novas.returns import variance_path
@@ -224,43 +227,21 @@ def model1_reports():
     return reports
 
 
-def l2_family_best_ratio(report, family, horizon):
-    ratios = [
-        s.ratio
-        for s in report.scores
-        if s.method.family == family
-        and s.horizon == horizon
-        and (s.method.risk in (None, "L2"))
-    ]
-    return min(ratios)
-
-
 def test_criterion_07_directional_reproduction(model1_reports):
     with timer() as t:
         families = ("GE", "GE_NO_A0", "GA", "GA_NO_A0")
         misses = []  # every (seed, family, horizon, ratio) outside its band
         for seed, report in model1_reports.items():
+            best = family_best([s for s in report.scores if s.method.risk != "L1"])
             for family in families:
-                r30 = l2_family_best_ratio(report, family, 30)
-                r1 = l2_family_best_ratio(report, family, 1)
+                r30 = best[family, 30]
+                r1 = best[family, 1]
                 if not r30 < 0.2:
                     misses.append((seed, family, 30, r30))
                 if not r1 < 1.1:
                     misses.append((seed, family, 1, r1))
         assert not misses, f"{len(misses)} misses (seed, family, horizon, ratio): {misses}"
     report_line(7, "Model-1 relative-performance bands", t.elapsed, 1800)
-
-
-def spike_ratio(report, family):
-    """Worst max/median of per-window 30-step L2 predictions in a family."""
-    worst = 0.0
-    for method, by_h in report.predictions.items():
-        if method.family != family or method.risk != "L2" or 30 not in by_h:
-            continue
-        arr = by_h[30]
-        arr = arr[np.isfinite(arr)]
-        worst = max(worst, float(arr.max() / np.median(arr)))
-    return worst
 
 
 def test_criterion_08_a0_removal_stability(model1_reports):
@@ -275,7 +256,7 @@ def test_criterion_08_a0_removal_stability(model1_reports):
                     for h, arr in by_h.items():
                         assert np.all(np.isfinite(arr)), (seed, method, h)
             spikes[seed] = {
-                f: spike_ratio(report, f) for f in ("GE", "GE_NO_A0", "GA", "GA_NO_A0")
+                f: spike_ratio(report, f, 30) for f in ("GE", "GE_NO_A0", "GA", "GA_NO_A0")
             }
             if spikes[seed]["GE_NO_A0"] < spikes[seed]["GE"]:
                 wins["GE"] += 1
@@ -286,6 +267,47 @@ def test_criterion_08_a0_removal_stability(model1_reports):
     report_line(8, f"a0-removal stability {dict(wins)}", t.elapsed, 600)
 
 
+def l2_family_best_ratio(report, family, horizon):
+    """Reference for ``family_best``: the minimum ratio over the family's
+    scores whose risk is None or L2."""
+    ratios = [
+        s.ratio
+        for s in report.scores
+        if s.method.family == family
+        and s.horizon == horizon
+        and (s.method.risk in (None, "L2"))
+    ]
+    return min(ratios)
+
+
+def np_spike_ratio(report, family):
+    """Reference for ``spike_ratio``: the worst max/``np.median`` of the
+    family's per-window 30-step L2 predictions."""
+    worst = 0.0
+    for method, by_h in report.predictions.items():
+        if method.family != family or method.risk != "L2" or 30 not in by_h:
+            continue
+        arr = by_h[30]
+        arr = arr[np.isfinite(arr)]
+        worst = max(worst, float(arr.max() / np.median(arr)))
+    return worst
+
+
+def test_study_family_rows_match_the_reference(model1_reports):
+    # the rows that scripts/study.py prints for criteria 07 and 08, read
+    # from the criteria's own reports
+    path = Path(__file__).resolve().parents[1] / "scripts" / "study.py"
+    spec = importlib.util.spec_from_file_location("study", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    for report in model1_reports.values():
+        assert study.family_rows(report) == {
+            f: (l2_family_best_ratio(report, f, 1), l2_family_best_ratio(report, f, 30),
+                np_spike_ratio(report, f))
+            for f in ("GE", "GE_NO_A0", "GA", "GA_NO_A0")
+        }
+
+
 def test_criterion_09_prediction_counts():
     with timer() as t:
         y = generate(ModelSpec(model="M3", n=499, seed=Seed(0)))
@@ -293,7 +315,6 @@ def test_criterion_09_prediction_counts():
             window=250,
             horizons=(1, 5, 30),
             variants=(),
-            include_garch_bootstrap=False,
             paths=100,
             seed=Seed(0),
             threads=2,

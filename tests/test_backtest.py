@@ -142,14 +142,6 @@ class TestPreconditions:
         assert all(type(v) is int for v in (cfg.window, *cfg.horizons, cfg.paths,
                                              cfg.threads))
 
-    # a string used to build a config and act as true
-    @pytest.mark.parametrize("value", ["no", 0, None])
-    def test_non_bool_flag_refused(self, value):
-        with pytest.raises(DataError, match="include_garch_bootstrap must be a bool"):
-            small_config(include_garch_bootstrap=value)
-        cfg = small_config(include_garch_bootstrap=np.bool_(False))
-        assert cfg.include_garch_bootstrap is False
-
     REPEATED = {
         "alpha_grid": (0.5, 0.5),
         "variants": (NovasVariant.GE, "GE"),
@@ -211,8 +203,7 @@ class TestCounts:
             return
         y = ReturnSeries(np.random.default_rng(n).normal(size=n))
         cfg = small_config(window=window, horizons=(h,), alpha_grid=(0.5,),
-                           variants=(), risks=("L2",), kinds=("mc",),
-                           include_garch_bootstrap=False)
+                           variants=(), risks=("L2",), kinds=("mc",))
         report = run_rolling_poos(y, cfg)
         assert report.counts[h] == n - window - h + 1
 
@@ -597,7 +588,7 @@ class TestRelativeReport:
         # every score reads zero, so the ratios' denominator is zero from the
         # first horizon on
         monkeypatch.setattr(novas.backtest, "score_performance", lambda *args: 0.0)
-        cfg = small_config(variants=(), include_garch_bootstrap=False, threads=1)
+        cfg = small_config(variants=(), threads=1)
         with pytest.raises(DataError, match=r"benchmark score is zero at h=1; ratios"):
             run_rolling_poos(short_series, cfg)
 

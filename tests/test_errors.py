@@ -2,7 +2,18 @@ import pickle
 
 import pytest
 
-from novas import InfeasibleWeightsError, NovasError
+from novas import (
+    BacktestConfig,
+    CalibrationGrid,
+    DataError,
+    ForecastRequest,
+    InfeasibleWeightsError,
+    InnovationSource,
+    ModelSpec,
+    NovasError,
+    Seed,
+    SourceKind,
+)
 
 
 def _error_classes(cls=NovasError):
@@ -27,3 +38,18 @@ def test_every_error_survives_pickling(cls):
     assert back.category == exc.category
     assert getattr(back, "reason", None) == getattr(exc, "reason", None)
 
+
+
+# operator.index(True) is 1, so each of these would build with the count 1
+@pytest.mark.parametrize("build, name", [
+    (lambda: BacktestConfig(window=250, threads=True), "threads"),
+    (lambda: ModelSpec(model="M3", n=True), "n"),
+    (lambda: CalibrationGrid(ge_c_count=True), "ge_c_count"),
+    (lambda: Seed(True), "seed"),
+    (lambda: ForecastRequest(
+        horizon=True, source=InnovationSource(SourceKind.TRIMMED_NORMAL, bound=3.0)),
+     "horizon"),
+], ids=["BacktestConfig", "ModelSpec", "CalibrationGrid", "Seed", "ForecastRequest"])
+def test_bool_count_refused(build, name):
+    with pytest.raises(DataError, match=f"{name} must be an? (integer|number)"):
+        build()

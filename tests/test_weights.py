@@ -223,6 +223,8 @@ class TestCalibrationGrid:
     @pytest.mark.parametrize("field, value", [
         ("ga_step", "0.1"), ("ge_c_max", None), ("order_cap", "30"), ("tail_mass", [0.01]),
         ("eps_guard", "tiny"),
+        # a bool is a Real; kept as given, it would be written to sidecars as true
+        ("ge_c_min", True), ("tail_mass", False), ("eps_guard", True), ("order_cap", True),
     ])
     def test_non_number_rejected(self, field, value):
         with pytest.raises(DataError, match=f"{field} must be a number"):
