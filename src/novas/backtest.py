@@ -12,11 +12,11 @@ reports do not depend on the parallel schedule.
 A window has no forecasting code of its own. Its ensembles come from two
 producers, under its own substreams, each simulated once per method at the
 window's largest horizon: every NoVaS ensemble from ``simulate_squares``,
-the one that ``predict`` calls, and the GARCH bootstrap's from
-``garch_bootstrap_squares``. Both hand back step-major squares. One running
-sum over them gives the per-path means at every horizon of the window, and
-one ``ensemble_points`` call reduces those to the L2 and L1 points at every
-horizon.
+which ``predict`` calls on innovations built the same way, and the GARCH
+bootstrap's from ``garch_bootstrap_squares``. Both hand back step-major
+squares. One running sum over them gives the per-path means at every
+horizon of the window, and one ``ensemble_points`` call reduces those to
+the L2 and L1 points at every horizon.
 
 The ensembles of a window share its Monte-Carlo noise (common random
 numbers), so each keeps its own law, while the differences between methods,
@@ -40,9 +40,9 @@ before any ``boot`` one, and the shared block is freed before the ``boot``
 ensembles: a window peaks below three ``(h, M)`` blocks, the shared block,
 an ensemble's step-major copy of its innovations, and that ensemble's
 ``y^2`` ring of at most ``(h + 1) / 2`` rows. The ``boot`` ensembles run by
-pool length, and the window holds one length's ``int32`` index block at a
-time, half an ``(h, M)`` block, drawing ``U`` afresh for each length rather
-than holding it.
+pool length, and the window holds one length's index block at a time, in
+the smallest unsigned type that indexes the pool (an eighth of an ``(h, M)``
+block up to 256 entries), drawing ``U`` afresh for each length.
 
 :func:`run_rolling_poos` lists the methods once, one row each. A window
 returns its points as one ``(method, horizon)`` array, NaN where it is out of
@@ -325,7 +325,7 @@ def _run_window(
             gen = substream(cfg.seed, _DOMAIN_NOVAS, w0, _VARIANT_INDEX[variant], ai,
                             _KIND_INDEX[kind]) if math.isfinite(source.bound) else None
             _store_points(out, rows, MethodKey(variant.value, alpha, None, kind),
-                          simulate_squares(ct, source, gen, cfg.paths, h_top, shared),
+                          simulate_squares(ct, source, gen, shared),
                           h_here, cfg.risks)
         del shared
 

@@ -7,15 +7,16 @@ generator derived through ``numpy``'s SeedSequence, so sub-streams keyed by
 (window, method, path) indices are reproducible regardless of the parallel
 schedule and never collide.
 
-Several truncated-normal ensembles can also share one block of standard
-normals (:class:`SharedNormals`, common random numbers): each takes the block
-with only its entries beyond its own bound replaced by draws of its own.
-An entry within a bound is a draw of that bound's truncated normal, so every
-entry each ensemble sees is an independent draw of its own source. Several
-bootstraps can likewise share one block ``U`` of uniforms on ``[0, 1)``
-(:func:`resample_indices`): each resamples its pool at the indices
-``floor(U * len(pool))``, which are i.i.d. uniform over the pool, so each
-bootstrap keeps its own law, and pools of one length share one index block.
+Every ensemble, a forecast's or a backtest window's, builds its innovations
+from a step-major ``(h, M)`` block. A truncated normal takes a block of
+standard normals (:class:`SharedNormals`) with only the entries beyond its
+bound replaced by draws of its own; an entry within a bound is a draw of
+that bound's truncated normal, so every entry is an independent draw of its
+source. A bootstrap gathers its pool at the indices ``floor(U * len(pool))``
+of a block ``U`` of uniforms on ``[0, 1)`` (:func:`resample_indices`), held
+in the smallest unsigned type that indexes the pool. The ensembles of a
+backtest window share one block of each kind (common random numbers), and
+each keeps its own law.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import enum
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -104,32 +106,34 @@ class InnovationSource:
                 )
 
     def draw(self, gen: np.random.Generator, shape) -> np.ndarray:
-        """Draw an array of innovations from an already-derived generator."""
-        count = int(np.prod(shape))
-        if self.kind is SourceKind.EMPIRICAL:
-            flat = gen.choice(self.residual_pool, size=count, replace=True)
-        else:
-            flat, _ = _rejection_normal(gen, self.bound, count)
+        """Draw an array of trimmed-normal innovations from an already-derived
+        generator; a bootstrap resamples through :func:`resample_indices`."""
+        if self.kind is not SourceKind.TRIMMED_NORMAL:
+            raise DataError("a bootstrap source resamples its pool at an index block")
+        flat, _ = _rejection_normal(gen, self.bound, int(np.prod(shape)))
         return flat.reshape(shape)
 
 
 class SharedNormals:
-    """One step-major ``(h, M)`` block of standard normals, drawn from
-    ``gen``, that the trimmed-normal ensembles of a backtest window take
-    their innovations from in turn.
-
-    ``tails`` holds the flat indices of the entries beyond :data:`MIN_BOUND`,
-    found by one scan, so an ensemble finds its entries beyond its own bound
-    among them alone.
-    """
+    """A step-major ``(h, M)`` block of standard normals, drawn from ``gen``,
+    that a forecast's trimmed-normal ensemble, or each of a backtest
+    window's in turn, takes its innovations from."""
 
     def __init__(self, gen: np.random.Generator, paths: int, h: int):
         self.block = gen.standard_normal((h, paths))
-        self.tails = np.flatnonzero(np.abs(self.block) > MIN_BOUND)
+
+    @cached_property
+    def tails(self) -> np.ndarray:
+        """The flat indices of the entries beyond :data:`MIN_BOUND`, found by
+        one scan when a finite bound first asks."""
+        return np.flatnonzero(np.abs(self.block) > MIN_BOUND)
 
     def beyond(self, bound: float) -> np.ndarray:
         """The flat step-major indices, ascending, of the entries beyond an
-        admissible truncation ``bound``; none at an infinite bound."""
+        admissible truncation ``bound``, found among the :attr:`tails`; none
+        at an infinite bound, which scans nothing."""
+        if math.isinf(bound):
+            return np.empty(0, dtype=np.intp)
         return self.tails[np.abs(self.block.reshape(-1)[self.tails]) > bound]
 
     @contextmanager
@@ -146,9 +150,9 @@ class SharedNormals:
 
 
 def resample_indices(gen: np.random.Generator, paths: int, h: int, size: int) -> np.ndarray:
-    """A step-major ``(h, paths)`` block of ``int32`` indices into a pool of
-    ``size`` entries: ``floor(U * size)`` for the ``(h, paths)`` block ``U``
-    of uniforms on ``[0, 1)`` that ``gen`` draws next.
+    """The step-major ``(h, paths)`` indices ``floor(U * size)`` into a pool
+    of ``size`` entries, in the smallest unsigned type that holds them, for
+    the block ``U`` of uniforms on ``[0, 1)`` that ``gen`` draws next.
 
     Every index is uniform over ``range(size)`` and none reaches ``size``: a
     double ``u < 1`` is at most ``1 - 2**-53``, and ``size * (1 - 2**-53)``
@@ -158,11 +162,11 @@ def resample_indices(gen: np.random.Generator, paths: int, h: int, size: int) ->
     give pools of one size byte-identical blocks and pools of other sizes
     blocks that rise and fall with it (common random numbers).
     """
-    if not 0 < size <= np.iinfo(np.int32).max:
-        raise DataError(f"pool of {size} entries cannot be indexed by int32")
+    if size < 1:
+        raise DataError(f"cannot resample a pool of {size} entries")
     uniforms = gen.random((h, paths))
     uniforms *= size
-    return uniforms.astype(np.int32)
+    return uniforms.astype(np.min_scalar_type(size - 1))
 
 
 def _rejection_normal(

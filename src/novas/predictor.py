@@ -1,17 +1,15 @@
 """Monte-Carlo multi-step prediction through the inverse transform.
 
 The library's one ensemble path, :func:`simulate_squares`, taken by
-:func:`predict` and every NoVaS ensemble of a backtest window: ``M``
-innovation vectors of length ``h`` are drawn and go through the inverse
-transform (:func:`simulate_paths`), each pseudo-return feeding back into the
-lag window and the recursive variance. The ensembles of a backtest window
-draw no block of their own. The Monte-Carlo ones share the window's block of
-standard normals (:class:`~novas.innovations.SharedNormals`), each with its
-entries beyond its own bound replaced by draws from its own substream, so
-each keeps its own truncated normal. The bootstrap ones resample their pools
-through the window's block of uniforms, each gathering its pool at an index
-block of its pool's length (:func:`~novas.innovations.resample_indices`).
-Every lag profile is
+:func:`predict` and every NoVaS ensemble of a backtest window: a step-major
+``(h, M)`` block of innovations goes through the inverse transform
+(:func:`simulate_paths`), each pseudo-return feeding back into the lag
+window and the recursive variance. A forecast builds the block from its
+request's stream as a window does from its own: standard normals
+(:class:`~novas.innovations.SharedNormals`) with the entries beyond a
+truncated normal's bound replaced by draws of its own, or a bootstrap's pool
+gathered at indices of the smallest unsigned type that indexes it
+(:func:`~novas.innovations.resample_indices`). Every lag profile is
 geometric, so a path's lag window is one running sum, O(1) state per path
 whatever the lag order. Each step writes its signed roots into one row of a
 step-major ``(h, M)`` array, and the ensemble comes back as the step-major
@@ -32,7 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, TrimBoundError, as_count
-from .innovations import InnovationSource, Seed, SharedNormals, SourceKind, substream
+from .innovations import (
+    InnovationSource, Seed, SharedNormals, SourceKind, resample_indices, substream,
+)
 from .returns import welford_update
 from .transform import TRIM_GUARD, CalibratedTransform
 
@@ -169,7 +169,8 @@ class ForecastResult:
 
 
 def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarray:
-    """Push an ``(M, h)`` innovation matrix through the inverse transform.
+    """Push a step-major ``(h, M)`` innovation block through the inverse
+    transform, one row per step and one column per path.
 
     Each step's pseudo-return re-enters the lag window with the sign of its
     innovation, and the variance estimate is updated by the same one-pass
@@ -188,16 +189,20 @@ def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarr
     ``y_k^2``; :class:`~novas.errors.TrimBoundError` names the first step
     that holds an untrimmed innovation.
 
-    Returns the ``(M, h)`` transpose of a step-major copy of the
-    innovations whose rows the steps overwrite with their signed roots, so
-    each step's values are contiguous; ``innovations`` is left unmodified.
-    The copy is the only ``(h, M)`` block it allocates: ``y^2`` is kept in
-    a ring of the ``min(p, h - 1 - p)`` rows that a later step still reads,
-    plus one row for the step at hand. It drops its reference to
-    ``innovations`` once copied, so a temporary passed in is freed at once.
+    Returns a C-ordered copy of the innovations whose rows the steps
+    overwrite with their signed roots, so each step's values are
+    contiguous; ``innovations`` is left unmodified. The copy is the only
+    ``(h, M)`` block it allocates: ``y^2`` is kept in a ring of the
+    ``min(p, h - 1 - p)`` rows that a later step still reads, plus one row
+    for the step at hand. It drops its reference to ``innovations`` once
+    copied, so a temporary passed in is freed at once.
     """
-    innovations = np.atleast_2d(np.asarray(innovations, dtype=float))
-    m, h = innovations.shape
+    # np.array always copies, where np.ascontiguousarray would hand back a
+    # caller's own array for the steps to overwrite. Dropping the name frees
+    # a temporary passed in (simulate_squares' gather)
+    wt = np.array(innovations, dtype=float, order="C")
+    del innovations
+    h, m = wt.shape
     w = ct.weights
     p = w.order
     head, tail, r = w.lags[0], w.lags[-1], w.ratio
@@ -205,11 +210,6 @@ def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarr
     n = history.size
     hist2 = history[-p:] ** 2
 
-    # np.array always copies, where np.ascontiguousarray would hand back a
-    # step-major caller's own array for the steps to overwrite. Dropping the
-    # name frees a temporary passed in (simulate_squares' draw)
-    wt = np.array(innovations.T, order="C")
-    del innovations
     # step k + p reads y_k^2 for k + p < h - 1, so only rows k < h - 1 - p
     # are kept, row k in slot k % keep: step k reads slot (k - p) % keep
     # before it writes the same slot. The last slot holds the other rows
@@ -257,52 +257,39 @@ def simulate_paths(ct: CalibratedTransform, innovations: np.ndarray) -> np.ndarr
         count += 1
         welford_update(count, mean, m2, yk)
         np.divide(m2, count, out=s2)
-    return wt.T
+    return wt
 
 
 def simulate_squares(
     ct: CalibratedTransform, source: InnovationSource, gen: np.random.Generator | None,
-    paths: int, h: int, shared: SharedNormals | np.ndarray | None = None,
+    block: SharedNormals | np.ndarray,
 ) -> np.ndarray:
-    """The step-major ``(h, M)`` squares of an ensemble of ``paths`` futures.
+    """The step-major ``(h, M)`` squares of the ensemble that ``source``
+    builds from a step-major ``(h, M)`` ``block``:
 
-    Draws a ``(paths, h)`` innovation matrix from ``source`` with ``gen``,
-    pushes it through :func:`simulate_paths` and squares its fresh
-    step-major signed roots in place, so each step's squares are one
-    contiguous row. The draw is passed as a temporary, which
-    :func:`simulate_paths` frees once copied, so the ensemble peaks at two
-    ``(h, M)`` blocks, the draw and its copy, and then simulates in the
-    copy and a ``y^2`` ring of at most ``(h + 1) / 2`` rows.
+    - standard normals (:class:`~novas.innovations.SharedNormals`) serve a
+      trimmed-normal ``source``: the entries beyond its bound are drawn from
+      ``source`` with ``gen``, which may be ``None`` at an infinite bound,
+      and replace the block's in step-major order until the block is copied;
+    - a bootstrap ``source`` gathers its pool at a block of indices
+      (:func:`~novas.innovations.resample_indices`), reading no ``gen``, and
+      passes the gather on as a temporary, freed once copied.
 
-    With ``shared``, a backtest window's ``(h, paths)`` block, the ensemble
-    draws no matrix of its own, and adds its copy and ring to the caller's
-    block:
-
-    - shared normals (:class:`~novas.innovations.SharedNormals`) serve a
-      trimmed-normal ``source``: only the entries beyond its bound are drawn
-      from ``source`` with ``gen``, and they replace the block's in
-      step-major order until the block is copied;
-    - a block of ``int32`` indices into the pool of a bootstrap ``source``
-      (:func:`~novas.innovations.resample_indices`) is gathered from the
-      pool here, and the gather is passed on as a temporary.
-
-    ``gen`` may be ``None`` where the ensemble reads nothing from it: a
-    bootstrap from shared indices, or shared normals with no entry beyond
-    the bound, which an infinite bound never has.
+    The ensemble adds to the caller's block the copy that
+    :func:`simulate_paths` simulates in and squares in place, and a ``y^2``
+    ring of at most ``(h + 1) / 2`` rows.
     """
-    if shared is None:
-        signed = simulate_paths(ct, source.draw(gen, (paths, h))).T
-    elif isinstance(shared, SharedNormals):
+    if isinstance(block, SharedNormals):
         if source.kind is not SourceKind.TRIMMED_NORMAL:
             raise DataError("only a trimmed-normal source draws from shared normals")
-        beyond = shared.beyond(source.bound)
+        beyond = block.beyond(source.bound)
         fresh = source.draw(gen, beyond.shape) if beyond.size else np.empty(0)
-        with shared.replaced(beyond, fresh) as block:
-            signed = simulate_paths(ct, block.T).T
+        with block.replaced(beyond, fresh) as normals:
+            signed = simulate_paths(ct, normals)
     else:
         if source.kind is not SourceKind.EMPIRICAL:
             raise DataError("only a bootstrap source resamples at shared indices")
-        signed = simulate_paths(ct, source.residual_pool.take(shared).T).T
+        signed = simulate_paths(ct, source.residual_pool.take(block))
     return np.square(signed, out=signed)
 
 
@@ -318,11 +305,16 @@ def predict(ct: CalibratedTransform, req: ForecastRequest) -> ForecastResult:
 
     Simulates the squares of ``paths`` futures of ``horizon`` steps from the
     request's source (:func:`simulate_squares`), applies the statistic per
-    path, and reduces with the exact mean (L2) and exact median (L1). Fully
-    determined by ``(seed, request, ct)``.
+    path, and reduces with the exact mean (L2) and exact median (L1). The
+    request's stream builds the innovations as a window's streams do.
+    Fully determined by ``(seed, request, ct)``.
     """
     gen = substream(req.seed)
-    squares = simulate_squares(ct, req.source, gen, req.paths, req.horizon)
+    if req.source.kind is SourceKind.EMPIRICAL:
+        block = resample_indices(gen, req.paths, req.horizon, req.source.residual_pool.size)
+    else:
+        block = SharedNormals(gen, req.paths, req.horizon)
+    squares = simulate_squares(ct, req.source, gen, block)
     (mean,), (median,) = ensemble_points(req.statistic.per_path(squares))
 
     stepwise = None

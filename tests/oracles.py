@@ -3,7 +3,7 @@ suite. Everything here is written as plain loops from the defining formulas,
 deliberately sharing no code with the library's vectorized paths, except
 :func:`oracle_rejection_normal`, whose chunk-by-chunk fill of one output
 buffer is the byte reference for the library's trimmed-normal draw, and
-:func:`oracle_block_simulate_paths`, whose whole-matrix ``y^2`` scratch is the
+:func:`oracle_block_simulate_paths`, whose whole-block ``y^2`` scratch is the
 byte reference for the library's ensemble simulation.
 """
 
@@ -296,18 +296,19 @@ def oracle_rejection_normal(gen, bound: float, count: int):
 
 
 def oracle_block_simulate_paths(ct, innovations):
-    """The signed pseudo-returns of an ``(M, h)`` innovation matrix, with
-    ``W^2 / (1 - eff W^2)`` computed for the whole matrix into one ``(h, M)``
-    ``y^2`` scratch before the recursion, each step's lag window kept as one
-    running sum and its variance advanced by Welford's update. The
-    elementwise operations are the library's, in its order.
+    """The step-major signed pseudo-returns of a step-major ``(h, M)``
+    innovation block, with ``W^2 / (1 - eff W^2)`` computed for the whole
+    block into one ``(h, M)`` ``y^2`` scratch before the recursion, each
+    step's lag window kept as one running sum and its variance advanced by
+    Welford's update. The elementwise operations are the library's, in its
+    order.
     """
     w = ct.weights
     p = w.order
     history = ct.history.values
     n = history.size
     hist2 = history[-p:] ** 2
-    wt = np.array(np.atleast_2d(innovations).T, dtype=float, order="C")
+    wt = np.array(innovations, dtype=float, order="C")
     h, m = wt.shape
     y2 = wt * wt
     if w.y2_self_coef:
@@ -331,4 +332,4 @@ def oracle_block_simulate_paths(ct, innovations):
         delta *= wt[k] - mean
         m2 += delta
         s2 = m2 / count
-    return wt.T
+    return wt

@@ -33,7 +33,7 @@ from novas import (
     substream,
 )
 from novas.backtest import family_best, format_table, spike_ratio
-from novas.innovations import _rejection_normal
+from novas.innovations import _rejection_normal, resample_indices
 from novas.predictor import ForecastRequest, Risk, innovation_source, predict
 from novas.returns import variance_path
 from novas.simulate import ModelSpec
@@ -159,8 +159,10 @@ def test_criterion_04_sampler_suite():
         _, attempts = _rejection_normal(substream(Seed(7)), 3.0, 10**6)
         rate = 10**6 / attempts
         assert abs(rate - (norm.cdf(3.0) - norm.cdf(-3.0))) < 0.002
-        coin = InnovationSource(SourceKind.EMPIRICAL, residual_pool=[-1.0, 1.0])
-        boot = coin.draw(substream(Seed(11)), (10**6,))
+        # the bootstrap's resampler: a gather at an index block
+        coin = np.array([-1.0, 1.0])
+        boot = coin[resample_indices(substream(Seed(11)), 10**6, 1, coin.size)]
+        assert boot.size == 10**6
         assert abs(np.mean(boot == 1.0) - 0.5) < 0.005
         np.testing.assert_array_equal(
             trimmed_normal(3.0, 1000, Seed(5)),

@@ -465,11 +465,11 @@ class TestLibraryPath:
                             beyond = np.abs(patched) > source.bound
                             replaced += int(beyond.sum())
                             patched[beyond] = source.draw(gen, (int(beyond.sum()),))
-                            draws = patched.T
+                            draws = patched
                         else:
                             pool = source.residual_pool
-                            draws = pool[np.floor(uniforms * pool.size).astype(int)].T
-                        aggs = running_means(simulate_paths(ct, draws), h_here)
+                            draws = pool[np.floor(uniforms * pool.size).astype(int)]
+                        aggs = running_means(simulate_paths(ct, draws).T, h_here)
                         for risk in cfg.risks:
                             key = MethodKey(variant.value, alpha, risk, kind)
                             expected[key] = aggs, risk
@@ -497,8 +497,14 @@ class TestLibraryPath:
             risk=risk,
             seed=Seed(11),
         )
-        draws = req.source.draw(substream(req.seed), (req.paths, req.horizon))
-        [agg] = running_means(simulate_paths(ct, draws), [9])
+        # predict's innovations: a step-major block of normals from the
+        # request's stream, its entries beyond the bound replaced in order
+        # by the next draws of the same stream
+        gen = substream(req.seed)
+        draws = gen.standard_normal((req.horizon, req.paths))
+        beyond = np.abs(draws) > req.source.bound
+        draws[beyond] = req.source.draw(gen, (int(beyond.sum()),))
+        [agg] = running_means(simulate_paths(ct, draws).T, [9])
         assert predict(ct, req).point == numpy_point(agg, risk)
 
         # one window whose only horizon is 9
@@ -519,10 +525,12 @@ class TestWorkingSet:
         # The mc ensembles share the window's block of normals, and each
         # simulates in its step-major copy of that block and a y^2 ring of
         # at most (h + 1) / 2 rows, the copy then being squared in place;
-        # the block is freed before the boot draws, each of which is freed
-        # once copied. A third block would be a second ensemble kept alive
-        # into the next one, a full y^2 scratch, the shared block kept into
-        # the boot ensembles, or a fresh array for the squares.
+        # the block is freed before the boot gathers, each of which is freed
+        # once copied, and each pool length's index block, uint8 for these
+        # 250-entry pools, is an eighth of a block. A third block would be a
+        # second ensemble kept alive into the next one, a full y^2 scratch,
+        # the shared block kept into the boot ensembles, or a fresh array
+        # for the squares.
         cfg = BacktestConfig(window=250, horizons=(30,), paths=5000,
                              grid=CalibrationGrid(ga_step=0.05), seed=Seed(3),
                              threads=1)

@@ -369,10 +369,11 @@ class TestBootstrapForecast:
         assert squares.tobytes() == np.array(want).tobytes()
 
     def test_holds_two_and_a_half_blocks(self):
-        # the int32 index block is half an (h, M) block: drawing it holds the
-        # uniforms beside it, the gather casts it to intp beside its output,
-        # and the normals join that output beside it. An intp block would
-        # hold three blocks and lift a backtest window past three
+        # the uint8 index block of a 250-entry pool is an eighth of an
+        # (h, M) block: drawing it holds the uniforms beside it, the gather
+        # casts it to intp beside its output, and the normals join that
+        # output beside it. An intp block would hold three blocks and lift a
+        # backtest window past three
         fit = fit_garch11_mle(generate(ModelSpec(model="M3", n=250, seed=Seed(3))))
         bootstrap_squares(fit, 5000, 30, Seed(1))
         tracemalloc.start()

@@ -172,6 +172,18 @@ def test_one_ensemble_path(path):
     assert not calls, calls
 
 
+# every bootstrap resamples its pool through innovations.resample_indices;
+# a Generator.choice call would be a second resampler of the same law
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_resampler(path):
+    calls = [
+        f"line {node.lineno}: {ast.unparse(node.func)}("
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "choice"
+    ]
+    assert not calls, calls
+
+
 # serial and pooled backtests map one callable over the window starts; a
 # global statement would be module state that a pooled run sets in each
 # worker, and so a second dispatch path beside that callable

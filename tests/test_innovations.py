@@ -26,9 +26,10 @@ def trimmed_normal(bound, count, seed):
 
 
 def empirical(pool, count, seed):
-    """``count`` draws from ``pool`` from the stream of ``seed``."""
-    source = InnovationSource(SourceKind.EMPIRICAL, residual_pool=pool)
-    return source.draw(substream(seed), (count,))
+    """``count`` draws from ``pool``, gathered at a block of indices that
+    :func:`resample_indices` builds from the stream of ``seed``."""
+    pool = np.asarray(pool, dtype=float)
+    return pool[resample_indices(substream(seed), count, 1, pool.size)].ravel()
 
 
 class TestSeed:
@@ -145,12 +146,6 @@ class TestEmpirical:
         b = empirical([1.0, 2.0, 3.0], 500, Seed(5))
         np.testing.assert_array_equal(a, b)
 
-    def test_same_bytes_as_the_choice_stream(self):
-        pool = [0.1, -0.3, 2.5, 7.0]
-        draws = empirical(pool, 1000, Seed(6))
-        want = substream(Seed(6)).choice(np.array(pool), size=1000, replace=True)
-        assert draws.tobytes() == want.tobytes()
-
 
 class FixedUniforms:
     """A generator stand-in whose every uniform is ``value``."""
@@ -163,15 +158,16 @@ class FixedUniforms:
 
 
 class TestResampleIndices:
-    """A backtest window's bootstraps resample their pools through one block
-    ``U`` of uniforms, at the indices ``floor(U * len(pool))``."""
+    """Every bootstrap, a forecast's or each of a backtest window's,
+    resamples its pool at the indices ``floor(U * len(pool))`` of a block
+    ``U`` of uniforms."""
 
     @pytest.mark.parametrize("size", [2, 7, 243, 250])
     def test_uniform_over_the_pool(self, size):
         # criterion 04's tolerance on 10**6 entries: every index's share
         # within 0.005 of 1 / size, and a chi-square test of uniformity
         indices = resample_indices(substream(Seed(size)), 1000, 1000, size)
-        assert indices.shape == (1000, 1000) and indices.dtype == np.int32
+        assert indices.shape == (1000, 1000) and indices.dtype == np.uint8
         assert indices.min() >= 0 and indices.max() < size
         counts = np.bincount(indices.ravel(), minlength=size)
         assert np.abs(counts / indices.size - 1 / size).max() < 0.005
@@ -193,9 +189,18 @@ class TestResampleIndices:
         assert all(resample_indices(top, 1, 1, size)[0, 0] == size - 1
                    for size in range(1, 5000))
 
-    @pytest.mark.parametrize("size", [0, -1, 2**31])
-    def test_size_outside_int32_refused(self, size):
-        with pytest.raises(DataError, match="cannot be indexed by int32"):
+    @pytest.mark.parametrize("size, dtype", [
+        (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+        (65537, np.uint32),
+    ])
+    def test_smallest_unsigned_type_that_holds_the_pool(self, size, dtype):
+        indices = resample_indices(substream(Seed(size)), 1000, 100, size)
+        assert indices.dtype == dtype
+        assert indices.max() < size
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_empty_pool_refused(self, size):
+        with pytest.raises(DataError, match=f"cannot resample a pool of {size} entries"):
             resample_indices(substream(Seed(0)), 100, 1, size)
 
     def test_equal_length_pools_share_one_block(self):
@@ -244,10 +249,11 @@ class TestInnovationSource:
             InnovationSource(SourceKind.EMPIRICAL, residual_pool=np.array([]))
 
     def test_kind_name_normalized(self):
-        # a kind given by name draws from its pool, not standard normals
+        # a kind given by name is a bootstrap, which draws no normals
         src = InnovationSource("EMPIRICAL", residual_pool=[5.0])
         assert src.kind is SourceKind.EMPIRICAL
-        assert set(src.draw(substream(Seed(2)), (3, 4)).ravel()) == {5.0}
+        with pytest.raises(DataError, match="resamples its pool"):
+            src.draw(substream(Seed(2)), (3, 4))
 
     def test_unknown_kind_refused(self):
         with pytest.raises(DataError, match="unknown innovation source kind 'BOGUS'"):
@@ -287,9 +293,15 @@ class TestInnovationSource:
         out = src.draw(substream(Seed(2)), (7, 5))
         assert out.shape == (7, 5)
         assert np.abs(out).max() <= 4.0
+
+    def test_bootstrap_source_draws_nothing(self):
+        # a bootstrap resamples its pool through an index block; drawing it
+        # here would be a second resampler of the same law
+        gen = substream(Seed(2))
+        state = gen.bit_generator.state
         pool_src = InnovationSource(
             SourceKind.EMPIRICAL, residual_pool=np.array([1.0, -1.0])
         )
-        out2 = pool_src.draw(substream(Seed(2)), (3, 4))
-        assert out2.shape == (3, 4)
-        assert set(np.unique(out2)) <= {1.0, -1.0}
+        with pytest.raises(DataError, match="resamples its pool at an index block"):
+            pool_src.draw(gen, (3, 4))
+        assert gen.bit_generator.state == state

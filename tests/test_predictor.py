@@ -64,8 +64,14 @@ def fitted():
 LIVE = pytest.mark.parametrize("variance", ["live"])
 
 
+def one_path(ct, innovations):
+    """The one path of the ensemble of a single innovation vector: column 0
+    of the step-major result."""
+    return simulate_paths(ct, np.reshape(innovations, (-1, 1)))[:, 0]
+
+
 class TestSimulatePath:
-    """One path: row 0 of the ensemble of a single innovation vector."""
+    """One path: column 0 of the ensemble of a single innovation vector."""
 
     def test_single_step_equals_inverse_step(self, fitted):
         ct = fitted["GE"]
@@ -74,28 +80,28 @@ class TestSimulatePath:
         lagged = history[-w.order :][::-1] ** 2
         for innovation in (-1.2, 0.4, 2.0):
             expected = inverse_step(innovation, lagged, ct.s2_n, w)
-            got = simulate_paths(ct, [innovation])[0]
+            got = one_path(ct, [innovation])
             assert abs(got[0]) == pytest.approx(expected, rel=1e-12)
             assert math.copysign(1, got[0]) == math.copysign(1, innovation)
 
     def test_zero_innovations_propagate_zero(self, fitted):
-        path = simulate_paths(fitted["GA_NO_A0"], np.zeros(12))[0]
+        path = one_path(fitted["GA_NO_A0"], np.zeros(12))
         assert np.all(path == 0.0)
 
     def test_purity(self, fitted):
         innovations = np.linspace(-1.5, 1.5, 10)
-        a = simulate_paths(fitted["GA"], innovations)[0]
-        b = simulate_paths(fitted["GA"], innovations)[0]
+        a = one_path(fitted["GA"], innovations)
+        b = one_path(fitted["GA"], innovations)
         np.testing.assert_array_equal(a, b)
 
     def test_batch_matches_single(self, fitted):
         ct = fitted["GE_NO_A0"]
         rng = np.random.default_rng(3)
-        draws = rng.normal(size=(6, 8))
+        draws = rng.normal(size=(8, 6))
         batch = simulate_paths(ct, draws)
         for m in range(6):
             np.testing.assert_allclose(
-                simulate_paths(ct, draws[m])[0], batch[m], rtol=1e-12
+                one_path(ct, draws[:, m]), batch[:, m], rtol=1e-12
             )
 
     def test_variance_recursion_matches_welford_oracle(self, fitted):
@@ -105,7 +111,7 @@ class TestSimulatePath:
         w = ct.weights
         history = ct.history.values.tolist()
         innovations = [0.5, -1.1, 0.9, 1.4, -0.2]
-        path = simulate_paths(ct, np.array(innovations))[0]
+        path = one_path(ct, innovations)
         combined = history + path.tolist()
         s2_seq = [ct.s2_n] + oracle_welford_variance_path(history, path[:-1])
         for k, innovation in enumerate(innovations):
@@ -116,19 +122,20 @@ class TestSimulatePath:
 
     @LIVE
     def test_layout_and_input_untouched(self, fitted, variance):
-        # the steps write their signed roots into a step-major copy of the
-        # innovations: a step-major (Fortran-ordered) input must not be that
-        # copy, and both layouts must give the same bytes
+        # the steps write their signed roots into a C-ordered copy of the
+        # step-major innovations: a C-ordered input must not be that copy,
+        # and both memory layouts must give the same bytes
         ct = fitted["GA"]
         source = innovation_source(ct, SourceKind.TRIMMED_NORMAL)
-        draws = source.draw(substream(Seed(8)), (40, 9))
-        step_major = np.asfortranarray(draws)
+        draws = source.draw(substream(Seed(8)), (9, 40))
+        fortran = np.asfortranarray(draws)
         before = draws.tobytes()
         a = simulate_paths(ct, draws)
-        b = simulate_paths(ct, step_major)
+        b = simulate_paths(ct, fortran)
+        assert a.flags.c_contiguous and a.shape == (9, 40)
         assert a.tobytes() == b.tobytes()
         assert draws.tobytes() == before
-        assert step_major.tobytes() == before
+        assert fortran.tobytes() == before
 
     @LIVE
     def test_variance_advances_through_welford_update(
@@ -143,7 +150,7 @@ class TestSimulatePath:
             return welford_update(*args)
 
         ct = fitted["GE_NO_A0"]
-        draws = np.random.default_rng(5).normal(size=(30, 7))
+        draws = np.random.default_rng(5).normal(size=(7, 30))
         want = simulate_paths(ct, draws)
         monkeypatch.setattr(novas.predictor, "welford_update", counting)
         got = simulate_paths(ct, draws)
@@ -160,15 +167,16 @@ class TestAggregatedSquared:
     @pytest.fixture(scope="class")
     def ensembles(self, fitted):
         ct = fitted["GA"]
-        source = innovation_source(ct, SourceKind.EMPIRICAL)
-        step_major = simulate_paths(ct, source.draw(substream(Seed(2)), (120, 12)))
+        pool = innovation_source(ct, SourceKind.EMPIRICAL).residual_pool
+        step_major = simulate_paths(
+            ct, pool[resample_indices(substream(Seed(2)), 120, 12, pool.size)])
         fit = fit_garch11_mle(ct.history)
         indices = resample_indices(substream(Seed(3)), 120, 12, fit.sigma2_path.size)
         path_major = np.array(
             oracle_garch_bootstrap_paths(fit.sigma2_path, indices, substream(Seed(2)))
         )
-        assert step_major.T.flags.c_contiguous
-        return {"simulate_paths": step_major, "garch_bootstrap_paths": path_major}
+        assert step_major.flags.c_contiguous
+        return {"simulate_paths": step_major.T, "garch_bootstrap_paths": path_major}
 
     @pytest.mark.parametrize("horizons", [[12], [1, 5, 12], list(range(1, 13)), [3]])
     @pytest.mark.parametrize("name", ["simulate_paths", "garch_bootstrap_paths"])
@@ -211,13 +219,13 @@ class TestSimulateOracle:
         w = weights_of_order(variant, order)
         ct = CalibratedTransform(w, y)
         bound = 0.8 * w.trim_bound
-        draws = np.clip(np.random.default_rng(order).normal(size=(4, 12)), -bound, bound)
+        draws = np.clip(np.random.default_rng(order).normal(size=(12, 4)), -bound, bound)
         paths = simulate_paths(ct, draws)
         for m in range(4):
             expected = oracle_simulate_path(
-                y.values, draws[m], w.alpha, w.y2_self_coef, w.lags
+                y.values, draws[:, m], w.alpha, w.y2_self_coef, w.lags
             )
-            np.testing.assert_allclose(paths[m], expected, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(paths[:, m], expected, rtol=1e-12, atol=0)
 
     # the y^2 ring keeps min(p, h - 1 - p) rows: none at h <= p + 1, fewer
     # than p below h = 2p + 1, p from there on
@@ -229,18 +237,18 @@ class TestSimulateOracle:
         w = weights_of_order(variant, order)
         ct = CalibratedTransform(w, y)
         bound = 0.8 * w.trim_bound
-        draws = np.clip(np.random.default_rng(h).normal(size=(40, h)), -bound, bound)
+        draws = np.clip(np.random.default_rng(h).normal(size=(h, 40)), -bound, bound)
         got = simulate_paths(ct, draws)
         assert got.tobytes() == oracle_block_simulate_paths(ct, draws).tobytes()
 
     def test_untrimmed_innovation_names_its_step(self, fitted):
         ct = fitted["GA"]
         bound = ct.weights.trim_bound
-        draws = np.full((5, 6), 0.5)
-        draws[1, 3] = 1.2 * bound
-        draws[2, 3] = -1.5 * bound
-        draws[0, 5] = 2.0 * bound
-        worst = float(draws[2, 3])
+        draws = np.full((6, 5), 0.5)
+        draws[3, 1] = 1.2 * bound
+        draws[3, 2] = -1.5 * bound
+        draws[5, 0] = 2.0 * bound
+        worst = float(draws[3, 2])
         with pytest.raises(TrimBoundError, match=re.escape(f"at step 4; innovation {worst!r} ")):
             simulate_paths(ct, draws)
 
@@ -334,9 +342,21 @@ class TestEnsemblePoints:
 
 
 def ensemble(ct, req):
-    """The paths that ``predict`` simulates for ``req``."""
-    draws = req.source.draw(substream(req.seed), (req.paths, req.horizon))
-    return simulate_paths(ct, draws)
+    """The path-major ``(M, h)`` paths that ``predict`` simulates for
+    ``req``, rebuilt from the request's stream: the pool gathered at
+    ``floor(U * len(pool))`` for a step-major block ``U`` of uniforms, or a
+    step-major block of standard normals whose entries beyond a finite bound
+    are replaced, in step-major order, by the source's next draws."""
+    gen = substream(req.seed)
+    shape = (req.horizon, req.paths)
+    if req.source.kind is SourceKind.EMPIRICAL:
+        pool = req.source.residual_pool
+        innovations = pool[np.floor(gen.random(shape) * pool.size).astype(int)]
+    else:
+        innovations = gen.standard_normal(shape)
+        beyond = np.abs(innovations) > req.source.bound
+        innovations[beyond] = req.source.draw(gen, (int(beyond.sum()),))
+    return simulate_paths(ct, innovations).T
 
 
 class TestPredict:
@@ -347,7 +367,7 @@ class TestPredict:
         result = predict(ct, req)
         assert result.ensemble_mean == pytest.approx(result.ensemble_median, rel=1e-12)
         assert result.point == result.ensemble_mean
-        single = simulate_paths(ct, np.full(3, 0.7))[0]
+        single = one_path(ct, np.full(3, 0.7))
         assert result.point == pytest.approx(float(np.mean(single**2)), rel=1e-12)
 
     def test_l2_aggregate_equals_mean_of_step_predictors(self, fitted):
@@ -536,14 +556,13 @@ class TestSharedNormals:
         seen = []
 
         def recording(ct, innovations):
-            seen.append(np.array(innovations.T))
+            seen.append(np.array(innovations))
             if fail:
                 raise TrimBoundError("denominator below the guard")
             return np.zeros(innovations.shape)
 
         monkeypatch.setattr(novas.predictor, "simulate_paths", recording)
-        h, paths = normals.block.shape
-        simulate_squares(None, source, gen, paths, h, normals)
+        simulate_squares(None, source, gen, normals)
         return seen[0]
 
     def test_bounded_source_sees_its_truncated_normal(self, monkeypatch):
@@ -583,11 +602,25 @@ class TestSharedNormals:
                                  fail=True)
         assert normals.block.tobytes() == raw.tobytes()
 
+    def test_infinite_bound_scans_nothing(self):
+        # an a0-free ensemble finds nothing beyond its bound without the
+        # block's scan for entries beyond MIN_BOUND, and reads no generator
+        gen = substream(Seed(12))
+        normals = SharedNormals(gen, 100, 3)
+        state = gen.bit_generator.state
+        assert normals.beyond(math.inf).size == 0
+        assert "tails" not in vars(normals)
+        assert gen.bit_generator.state == state
+        # a finite bound scans once, on its first ask
+        beyond = normals.beyond(3.0)
+        assert "tails" in vars(normals)
+        np.testing.assert_array_equal(beyond, np.flatnonzero(np.abs(normals.block) > 3.0))
+
     def test_bootstrap_source_refused(self, fitted):
         normals = SharedNormals(substream(Seed(6)), 100, 2)
         source = innovation_source(fitted["GE"], SourceKind.EMPIRICAL)
         with pytest.raises(DataError, match="only a trimmed-normal source"):
-            simulate_squares(fitted["GE"], source, substream(Seed(7)), 100, 2, normals)
+            simulate_squares(fitted["GE"], source, substream(Seed(7)), normals)
 
 
 class TestSharedIndices:
@@ -599,38 +632,49 @@ class TestSharedIndices:
         seen = []
 
         def recording(ct, innovations):
-            seen.append(np.array(innovations.T))
+            seen.append(np.array(innovations))
             return np.zeros(innovations.shape)
 
         monkeypatch.setattr(novas.predictor, "simulate_paths", recording)
         source = innovation_source(fitted["GE"], SourceKind.EMPIRICAL)
         pool = source.residual_pool
         indices = resample_indices(substream(Seed(8)), 300, 7, pool.size)
-        simulate_squares(fitted["GE"], source, None, 300, 7, indices)
+        simulate_squares(fitted["GE"], source, None, indices)
         assert seen[0].tobytes() == pool[indices.astype(np.intp)].tobytes()
 
     def test_trimmed_normal_source_refused(self, fitted):
         source = innovation_source(fitted["GE"], SourceKind.TRIMMED_NORMAL)
         indices = resample_indices(substream(Seed(9)), 100, 2, 50)
         with pytest.raises(DataError, match="only a bootstrap source"):
-            simulate_squares(fitted["GE"], source, None, 100, 2, indices)
+            simulate_squares(fitted["GE"], source, None, indices)
 
     def test_unbounded_normals_need_no_generator(self, fitted):
         ct = fitted["GE_NO_A0"]
         source = innovation_source(ct, SourceKind.TRIMMED_NORMAL)
         assert math.isinf(source.bound)
         normals = SharedNormals(substream(Seed(10)), 100, 3)
-        got = simulate_squares(ct, source, None, 100, 3, normals)
-        want = simulate_squares(ct, source, substream(Seed(11)), 100, 3, normals)
+        got = simulate_squares(ct, source, None, normals)
+        want = simulate_squares(ct, source, substream(Seed(11)), normals)
         assert got.tobytes() == want.tobytes()
 
 
+def innovation_block(source, gen, paths, h):
+    """The block ``predict`` builds its innovations from: indices into a
+    bootstrap's pool, or standard normals."""
+    if source.kind is SourceKind.EMPIRICAL:
+        return resample_indices(gen, paths, h, source.residual_pool.size)
+    return SharedNormals(gen, paths, h)
+
+
 class TestWorkingSet:
-    # An ensemble peaks at two (h, M) blocks: the draw and its step-major
-    # copy while simulate_paths copies, then the copy that the steps
-    # overwrite with their signed roots and a y^2 ring of at most
-    # (h + 1) / 2 rows. The draw is freed once copied, and while it is
-    # drawn it holds two blocks only as it gathers.
+    # An ensemble adds at most two (h, M) blocks to the caller's block: a
+    # bootstrap's gather and its intp cast of the index block, then the
+    # gather and the step-major copy that simulate_paths simulates in, the
+    # gather being freed once copied, and then the copy, which the steps
+    # overwrite with their signed roots, and a y^2 ring of at most
+    # (h + 1) / 2 rows. predict holds the block too: a block of normals and
+    # the copy and ring, or an eighth of a block of uint8 indices beside the
+    # gather and its copy.
     BLOCK = 30 * 5000 * 8
 
     @staticmethod
@@ -647,16 +691,19 @@ class TestWorkingSet:
     def test_simulate_squares_holds_two_blocks(self, fitted, kind):
         ct = fitted["GE"]
         source = innovation_source(ct, kind)
+        block = innovation_block(source, substream(Seed(0)), 5000, 30)
         peak = self.traced_peak(
-            lambda: simulate_squares(ct, source, substream(Seed(1)), 5000, 30))
+            lambda: simulate_squares(ct, source, substream(Seed(1)), block))
         assert peak < 2.5 * self.BLOCK, f"peak {peak / self.BLOCK:.2f} (30, 5000) blocks"
 
     def test_predict_holds_two_blocks(self, fitted):
         ct = fitted["GE"]
-        req = ForecastRequest(horizon=30, paths=5000, seed=Seed(1),
-                              source=innovation_source(ct, SourceKind.TRIMMED_NORMAL))
-        peak = self.traced_peak(lambda: predict(ct, req))
-        assert peak < 2.5 * self.BLOCK, f"peak {peak / self.BLOCK:.2f} (30, 5000) blocks"
+        for kind in SourceKind:
+            req = ForecastRequest(horizon=30, paths=5000, seed=Seed(1),
+                                  source=innovation_source(ct, kind))
+            peak = self.traced_peak(lambda: predict(ct, req))
+            assert peak < 2.5 * self.BLOCK, (
+                f"{kind.value}: peak {peak / self.BLOCK:.2f} (30, 5000) blocks")
 
 
 @pytest.mark.skipif(
